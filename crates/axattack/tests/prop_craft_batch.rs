@@ -8,11 +8,8 @@
 //! derived per image, so the result may not depend on which thread chunk
 //! an image lands in.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that crafts batches serializes on [`ENV_LOCK`]
-//! to keep the sweep race-free within this test binary.
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which the sweep scopes with `exec::with`.
 
 use axattack::gradient::{Bim, Fgm, Pgd};
 use axattack::norms::Norm;
@@ -20,11 +17,9 @@ use axattack::Attack;
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
@@ -117,7 +112,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=8,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0x1111);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
@@ -132,21 +126,20 @@ proptest! {
 }
 
 /// Batched crafting must not depend on how the batch is chunked across
-/// worker threads: sweep `AXDNN_THREADS` and require identical output,
+/// worker threads: sweep the thread count and require identical output,
 /// including PGD whose randomness is derived per image.
 #[test]
 fn craft_batch_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let model = small_model(2, 4242);
     let imgs = images(7, 77);
     let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
     let base = Rng::seed_from_u64(9);
     for attack in gradient_attacks() {
         let mut reference: Option<Vec<Tensor>> = None;
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let batch = attack.craft_batch(&model, &imgs, &labels, 0.12, &base);
+        for threads in [1, 2, 3, 7] {
+            let batch = exec::with(exec::current().with_threads(threads), || {
+                attack.craft_batch(&model, &imgs, &labels, 0.12, &base)
+            });
             match &reference {
                 None => reference = Some(batch),
                 Some(r) => assert_eq!(
@@ -159,13 +152,10 @@ fn craft_batch_is_chunking_invariant() {
         }
         // The single-threaded run equals the scalar path, so by the
         // equality above every chunking does.
-        std::env::set_var("AXDNN_THREADS", "1");
-        check_attack(attack.as_ref(), &model, &imgs, &labels, 0.12, &base)
-            .unwrap_or_else(|msg| panic!("{msg}"));
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+        exec::with(exec::current().with_threads(1), || {
+            check_attack(attack.as_ref(), &model, &imgs, &labels, 0.12, &base)
+        })
+        .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }
 
@@ -173,7 +163,6 @@ fn craft_batch_is_chunking_invariant() {
 /// the same per-image stream contract as the gradient overrides.
 #[test]
 fn default_craft_batch_uses_per_image_streams() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     use axattack::suite::AttackId;
     let model = small_model(0, 31);
     let imgs = images(4, 32);

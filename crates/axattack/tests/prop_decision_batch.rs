@@ -11,10 +11,8 @@
 //! first fooling sample), which is exactly the case per-image streams
 //! exist for.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so the sweep test serializes on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which the sweep scopes with `exec::with`.
 
 use axattack::decision::{ContrastReduction, RepeatedAdditiveGaussian, RepeatedAdditiveUniform};
 use axattack::norms::Norm;
@@ -22,11 +20,9 @@ use axattack::Attack;
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
@@ -118,7 +114,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=8,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0xDEC1);
         // Label each image with its own prediction so RAG/RAU actually
@@ -139,17 +134,16 @@ proptest! {
 /// of rng draws per image.
 #[test]
 fn decision_craft_batch_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let model = small_model(1, 1717);
     let imgs = images(7, 18);
     let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
     let base = Rng::seed_from_u64(19);
     for attack in decision_attacks() {
         let mut reference: Option<Vec<Tensor>> = None;
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let batch = attack.craft_batch(&model, &imgs, &labels, 0.4, &base);
+        for threads in [1, 2, 3, 7] {
+            let batch = exec::with(exec::current().with_threads(threads), || {
+                attack.craft_batch(&model, &imgs, &labels, 0.4, &base)
+            });
             match &reference {
                 None => reference = Some(batch),
                 Some(r) => assert_eq!(
@@ -162,12 +156,9 @@ fn decision_craft_batch_is_chunking_invariant() {
         }
         // The single-threaded run equals the scalar path, so by the
         // equality above every chunking does.
-        std::env::set_var("AXDNN_THREADS", "1");
-        check_attack(attack.as_ref(), &model, &imgs, &labels, 0.4, &base)
-            .unwrap_or_else(|msg| panic!("{msg}"));
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+        exec::with(exec::current().with_threads(1), || {
+            check_attack(attack.as_ref(), &model, &imgs, &labels, 0.4, &base)
+        })
+        .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }

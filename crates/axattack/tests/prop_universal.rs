@@ -3,7 +3,7 @@
 //! Four contracts:
 //!
 //! 1. **Thread invariance** — `craft_universal` is bit-identical for any
-//!    `AXDNN_THREADS` setting (the epoch gradients come from one batched
+//!    thread count (the epoch gradients come from one batched
 //!    pass folded in fixed image order on the caller thread).
 //! 2. **Ball exactness** — the returned delta respects the eps budget and
 //!    is a fixed point of [`project_ball`] (bitwise for linf, to rounding
@@ -14,21 +14,17 @@
 //! 4. **Empty dataset panics** — a "universal" perturbation over nothing
 //!    is rejected loudly.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so thread-sweeping tests serialize on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which the sweep scopes with `exec::with`.
 
 use axattack::norms::{ascent_direction, project_ball, Norm};
 use axattack::universal::{apply, craft_universal, UniversalAttack};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
@@ -79,12 +75,10 @@ fn images(n: usize, seed: u64) -> Vec<Tensor> {
 }
 
 /// Crafting must not depend on how the per-epoch gradient batch is
-/// chunked across worker threads: sweep `AXDNN_THREADS` over every model
+/// chunked across worker threads: sweep the thread count over every model
 /// family and both norms and require bit-identical deltas.
 #[test]
 fn craft_universal_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     for arch in 0..3usize {
         let model = small_model(arch, 900 + arch as u64);
         let imgs = images(7, 910 + arch as u64);
@@ -94,15 +88,10 @@ fn craft_universal_is_chunking_invariant() {
                 .with_epochs(4)
                 .with_random_start(true);
             let mut reference: Option<Tensor> = None;
-            for threads in ["1", "2", "3", "7"] {
-                std::env::set_var("AXDNN_THREADS", threads);
-                let delta = attack.craft_universal(
-                    &model,
-                    &imgs,
-                    &labels,
-                    0.12,
-                    &mut Rng::seed_from_u64(5),
-                );
+            for threads in [1, 2, 3, 7] {
+                let delta = exec::with(exec::current().with_threads(threads), || {
+                    attack.craft_universal(&model, &imgs, &labels, 0.12, &mut Rng::seed_from_u64(5))
+                });
                 match &reference {
                     None => reference = Some(delta),
                     Some(r) => assert_eq!(
@@ -113,10 +102,6 @@ fn craft_universal_is_chunking_invariant() {
                 }
             }
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 
@@ -133,7 +118,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=6,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0x2222);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
@@ -173,7 +157,6 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..3,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed ^ 0x77);
         let image = images(1, seed ^ 0x3333).pop().unwrap();
         let label = (seed % 4) as usize;

@@ -55,7 +55,8 @@
 //! of every loaded operand, not from vectorizing a single dot product —
 //! which is why no ULP tolerance and no thread-invariance caveat is
 //! needed anywhere. Plans resolve the tier once at compile time from the
-//! `AXDNN_KERNEL` environment variable (see [`FloatKernel::from_env`]).
+//! active execution context ([`axutil::exec::current`]), whose process
+//! default comes from `AXDNN_KERNEL`.
 
 /// Extracts conv patches: row `p = oy * ow + ox` of `out` is the
 /// `[in_c * k * k]` receptive field of output position `(oy, ox)`,
@@ -345,49 +346,22 @@ pub fn conv_backward_params(
     }
 }
 
+pub use axutil::exec::FloatKernel;
+
 /// Kernel-tier dispatch for the float GEMM family, mirroring
-/// `axmul::MulBackend`: resolved once (usually at plan compile time via
-/// [`FloatKernel::from_env`]) and then dispatched per call without
-/// re-reading the environment.
+/// `axmul::MulBackend`: the tier ([`FloatKernel`], owned by the execution
+/// context in [`axutil::exec`]) is resolved once, usually at plan compile
+/// time from [`axutil::exec::current`], and then dispatched per call.
 ///
 /// Both tiers produce **bit-identical** results — see the
 /// [module docs](self) for why tiling does not reassociate any sum — so
 /// the choice is purely a performance A/B switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FloatKernel {
-    /// The scalar loops ([`conv_forward`], [`dense_forward`], ...):
-    /// one accumulator chain at a time, kept as the reference tier.
-    Reference,
-    /// Register-tiled 4×4 / 4-row variants with independent
-    /// accumulators and shared operand loads. The default.
-    #[default]
-    Tiled,
-}
-
-impl FloatKernel {
-    /// Resolves the tier from the `AXDNN_KERNEL` environment variable:
-    /// `reference` (or `scalar`) selects [`FloatKernel::Reference`];
-    /// anything else — including unset — selects the default
-    /// [`FloatKernel::Tiled`].
-    pub fn from_env() -> Self {
-        match std::env::var("AXDNN_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("scalar") => {
-                FloatKernel::Reference
-            }
-            _ => FloatKernel::Tiled,
-        }
-    }
-
-    /// Stable lowercase name, for report fields and log lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            FloatKernel::Reference => "reference",
-            FloatKernel::Tiled => "tiled",
-        }
-    }
+pub trait FloatGemm: Copy {
+    /// The tier to dispatch to.
+    fn tier(self) -> FloatKernel;
 
     /// [`conv_forward`] under this tier.
-    pub fn conv_forward(
+    fn conv_forward(
         self,
         w: &[f32],
         bias: &[f32],
@@ -396,22 +370,22 @@ impl FloatKernel {
         cols: usize,
         out: &mut [f32],
     ) {
-        match self {
+        match self.tier() {
             FloatKernel::Reference => conv_forward(w, bias, patch, rows, cols, out),
             FloatKernel::Tiled => conv_forward_tiled(w, bias, patch, rows, cols, out),
         }
     }
 
     /// [`dense_forward`] under this tier.
-    pub fn dense_forward(self, w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-        match self {
+    fn dense_forward(self, w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+        match self.tier() {
             FloatKernel::Reference => dense_forward(w, bias, x, out),
             FloatKernel::Tiled => dense_forward_tiled(w, bias, x, out),
         }
     }
 
     /// [`dense_backward`] under this tier.
-    pub fn dense_backward(
+    fn dense_backward(
         self,
         w: &[f32],
         g: &[f32],
@@ -420,14 +394,14 @@ impl FloatKernel {
         dw: Option<&mut [f32]>,
         db: Option<&mut [f32]>,
     ) {
-        match self {
+        match self.tier() {
             FloatKernel::Reference => dense_backward(w, g, x, dx, dw, db),
             FloatKernel::Tiled => dense_backward_tiled(w, g, x, dx, dw, db),
         }
     }
 
     /// [`conv_backward_dx`] under this tier.
-    pub fn conv_backward_dx(
+    fn conv_backward_dx(
         self,
         wt: &[f32],
         gpatch: &[f32],
@@ -435,14 +409,14 @@ impl FloatKernel {
         cols: usize,
         dx: &mut [f32],
     ) {
-        match self {
+        match self.tier() {
             FloatKernel::Reference => conv_backward_dx(wt, gpatch, rows, cols, dx),
             FloatKernel::Tiled => conv_backward_dx_tiled(wt, gpatch, rows, cols, dx),
         }
     }
 
     /// [`conv_backward_params`] under this tier.
-    pub fn conv_backward_params(
+    fn conv_backward_params(
         self,
         g: &[f32],
         patch: &[f32],
@@ -451,10 +425,16 @@ impl FloatKernel {
         dw: &mut [f32],
         db: &mut [f32],
     ) {
-        match self {
+        match self.tier() {
             FloatKernel::Reference => conv_backward_params(g, patch, rows, cols, dw, db),
             FloatKernel::Tiled => conv_backward_params_tiled(g, patch, rows, cols, dw, db),
         }
+    }
+}
+
+impl FloatGemm for FloatKernel {
+    fn tier(self) -> FloatKernel {
+        self
     }
 }
 

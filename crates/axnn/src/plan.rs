@@ -73,7 +73,7 @@ use std::sync::{Arc, OnceLock};
 use axtensor::Tensor;
 use axutil::parallel;
 
-use crate::exec;
+use crate::exec::{self, FloatGemm};
 use crate::layer::Layer;
 use crate::loss::cross_entropy_with_grad;
 use crate::model::{GradBuffer, Sequential};
@@ -200,7 +200,7 @@ pub struct FPlan<'m> {
     /// Largest forward or backward im2col patch any conv step needs.
     max_patch: usize,
     /// GEMM tier every kernel call dispatches through, resolved once at
-    /// compile time ([`exec::FloatKernel::from_env`]).
+    /// compile time from the active [`axutil::exec::current`] context.
     kernel: exec::FloatKernel,
 }
 
@@ -399,7 +399,7 @@ impl<'m> FPlan<'m> {
             out_len: dims.iter().product(),
             max_act,
             max_patch,
-            kernel: exec::FloatKernel::from_env(),
+            kernel: axutil::exec::current().kernel,
         }
     }
 
@@ -413,8 +413,8 @@ impl<'m> FPlan<'m> {
         self.out_len
     }
 
-    /// The GEMM tier this plan dispatches through (resolved from
-    /// `AXDNN_KERNEL` at compile time).
+    /// The GEMM tier this plan dispatches through (resolved from the
+    /// active execution context at compile time).
     pub fn kernel(&self) -> exec::FloatKernel {
         self.kernel
     }

@@ -6,27 +6,20 @@
 //! the dot-product dimension stays sequential and ascending, so for any
 //! shape (including odd/prime edges that exercise every remainder path)
 //! the two tiers must agree to the last bit. On top of the raw kernels,
-//! a whole compiled plan run under `AXDNN_KERNEL=tiled` must reproduce
-//! the `AXDNN_KERNEL=reference` forward, loss and gradients exactly, for
-//! every conv geometry (k ∈ {1, 3, 5}, stride/pad combinations) and
-//! every `AXDNN_THREADS` chunking.
-//!
-//! Tests that touch `AXDNN_KERNEL` / `AXDNN_THREADS` serialize on
-//! [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! a whole compiled plan run under the tiled tier must reproduce the
+//! reference tier's forward, loss and gradients exactly, for every conv
+//! geometry (k ∈ {1, 3, 5}, stride/pad combinations) and every thread
+//! chunking. Both settings are scoped with `axutil::exec::with`.
 
 use axnn::exec;
 use axnn::layer::{Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
+use axutil::exec::{with, Context};
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-
-/// Serializes tests that read or write `AXDNN_KERNEL` / `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Odd and prime edge lengths: every value here leaves a non-trivial
 /// remainder against the 4-wide tiles, so the 2×4 / 4×1 / 1×4 / scalar
@@ -170,7 +163,7 @@ fn geometry_model(geo: usize, seed: u64) -> Sequential {
     )
 }
 
-/// One forward + one batched gradient under the current env settings.
+/// One forward + one batched gradient under the active execution context.
 fn probe(model: &Sequential, imgs: &[Tensor], labels: &[usize]) -> (Vec<Tensor>, f32) {
     let outs: Vec<Tensor> = imgs.iter().map(|x| model.forward(x)).collect();
     let (loss, grads) = model.loss_and_param_grads_batch(imgs, labels);
@@ -185,14 +178,11 @@ fn probe(model: &Sequential, imgs: &[Tensor], labels: &[usize]) -> (Vec<Tensor>,
     (outs, sig)
 }
 
-/// The full `AXDNN_KERNEL` × `AXDNN_THREADS` matrix: for every conv
+/// The full kernel-tier × thread-count matrix: for every conv
 /// geometry, the tiled plan must reproduce the reference plan's forward
 /// outputs and gradient signature bit-for-bit at every thread chunking.
 #[test]
 fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_kernel = std::env::var("AXDNN_KERNEL").ok();
-    let prev_threads = std::env::var("AXDNN_THREADS").ok();
     // The five conv geometries plus the four shared fixture shapes
     // (dense-only, plain/pooled/strided convs).
     let models: Vec<Sequential> = (0..GEOMETRIES.len())
@@ -202,33 +192,26 @@ fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
     for (geo, model) in models.iter().enumerate() {
         let imgs = common::images(5, 0x51EE + geo as u64);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
-        std::env::set_var("AXDNN_KERNEL", "reference");
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (want_outs, want_sig) = probe(model, &imgs, &labels);
-        for kernel in ["reference", "tiled"] {
-            std::env::set_var("AXDNN_KERNEL", kernel);
-            for threads in ["1", "2", "3", "7"] {
-                std::env::set_var("AXDNN_THREADS", threads);
-                let (outs, sig) = probe(model, &imgs, &labels);
+        let reference = Context {
+            threads: 1,
+            kernel: exec::FloatKernel::Reference,
+        };
+        let (want_outs, want_sig) = with(reference, || probe(model, &imgs, &labels));
+        for kernel in [exec::FloatKernel::Reference, exec::FloatKernel::Tiled] {
+            for threads in [1, 2, 3, 7] {
+                let (outs, sig) =
+                    with(Context { threads, kernel }, || probe(model, &imgs, &labels));
                 assert_eq!(
                     outs, want_outs,
-                    "forward diverges (geometry {geo}, kernel {kernel}, {threads} threads)"
+                    "forward diverges (geometry {geo}, kernel {kernel:?}, {threads} threads)"
                 );
                 assert_eq!(
                     sig.to_bits(),
                     want_sig.to_bits(),
-                    "gradients diverge (geometry {geo}, kernel {kernel}, {threads} threads)"
+                    "gradients diverge (geometry {geo}, kernel {kernel:?}, {threads} threads)"
                 );
             }
         }
-    }
-    match prev_kernel {
-        Some(v) => std::env::set_var("AXDNN_KERNEL", v),
-        None => std::env::remove_var("AXDNN_KERNEL"),
-    }
-    match prev_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 
@@ -236,22 +219,32 @@ fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
 /// reference tier, everything else — including unset — the tiled default.
 #[test]
 fn kernel_env_override_parses() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_KERNEL").ok();
     for (value, want) in [
-        ("reference", exec::FloatKernel::Reference),
-        ("Scalar", exec::FloatKernel::Reference),
-        ("REFERENCE", exec::FloatKernel::Reference),
-        ("tiled", exec::FloatKernel::Tiled),
-        ("anything-else", exec::FloatKernel::Tiled),
+        (Some("reference"), exec::FloatKernel::Reference),
+        (Some("Scalar"), exec::FloatKernel::Reference),
+        (Some("REFERENCE"), exec::FloatKernel::Reference),
+        (Some("tiled"), exec::FloatKernel::Tiled),
+        (Some(" reference"), exec::FloatKernel::Tiled),
+        (Some("anything-else"), exec::FloatKernel::Tiled),
+        (None, exec::FloatKernel::Tiled),
     ] {
-        std::env::set_var("AXDNN_KERNEL", value);
-        assert_eq!(exec::FloatKernel::from_env(), want, "AXDNN_KERNEL={value}");
+        assert_eq!(
+            exec::FloatKernel::parse(value),
+            want,
+            "AXDNN_KERNEL={value:?}"
+        );
     }
-    std::env::remove_var("AXDNN_KERNEL");
-    assert_eq!(exec::FloatKernel::from_env(), exec::FloatKernel::Tiled);
     assert_eq!(exec::FloatKernel::default(), exec::FloatKernel::Tiled);
-    if let Some(v) = prev {
-        std::env::set_var("AXDNN_KERNEL", v);
+}
+
+/// A plan compiled inside a scoped context dispatches through that
+/// context's tier, whatever the process default is.
+#[test]
+fn plan_compiled_in_scope_reports_the_scoped_tier() {
+    let model = common::small_model(1, 0x7E57);
+    for kernel in [exec::FloatKernel::Reference, exec::FloatKernel::Tiled] {
+        let cx = Context { threads: 2, kernel };
+        let plan = with(cx, || model.plan(&common::IN_DIMS));
+        assert_eq!(plan.kernel(), kernel);
     }
 }

@@ -6,26 +6,22 @@
 //! per-image fold `for i { loss += l_i; grads.accumulate(&g_i) }` over
 //! [`Sequential::loss_and_grads`] calls. On top of that, `train::fit`
 //! must reproduce the exact seed `TrainHistory` — losses, accuracies and
-//! trained weights bit-for-bit — under every `AXDNN_THREADS` setting.
+//! trained weights bit-for-bit — under every thread count.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which each sweep scopes with `exec::with`.
 
 use axdata::Dataset;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
 use axnn::train::{batch_gradient, fit, TrainConfig, TrainHistory};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
 use common::{images, small_model, IN_DIMS};
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The seed reference: fold per-image `Sequential::loss_and_grads` in
 /// image order, starting from zero — the accumulation the batched engine
@@ -49,25 +45,21 @@ proptest! {
         arch in 0usize..4,
         n in 1usize..9,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("AXDNN_THREADS").ok();
         let model = small_model(arch, seed);
         let imgs = images(n, seed ^ 0x7A17);
         let labels: Vec<usize> = (0..n).map(|i| (i * 3) % 4).collect();
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (want_loss, want) = seed_grad_sum(&model, &imgs, &labels);
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let (loss, grads) = model.loss_and_param_grads_batch(&imgs, &labels);
+        let (want_loss, want) = exec::with(exec::current().with_threads(1), || {
+            seed_grad_sum(&model, &imgs, &labels)
+        });
+        for threads in [1, 2, 3, 7] {
+            let (loss, grads) = exec::with(exec::current().with_threads(threads), || {
+                model.loss_and_param_grads_batch(&imgs, &labels)
+            });
             prop_assert!(
                 loss == want_loss && grads == want,
                 "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
                  n {n}, threads {threads})"
             );
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
         }
     }
 }
@@ -130,8 +122,6 @@ fn seed_fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> TrainH
 /// final weights bit-for-bit — and do so for every thread chunking.
 #[test]
 fn fit_reproduces_seed_history_bit_for_bit() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(40, 11);
     let cfg = TrainConfig {
         epochs: 2,
@@ -140,10 +130,11 @@ fn fit_reproduces_seed_history_bit_for_bit() {
     };
     let mut reference = small_model(2, 5);
     let golden = seed_fit(&mut reference, &data, &cfg);
-    for threads in ["1", "2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
+    for threads in [1, 2, 3, 7] {
         let mut model = small_model(2, 5);
-        let history = fit(&mut model, &data, &cfg);
+        let history = exec::with(exec::current().with_threads(threads), || {
+            fit(&mut model, &data, &cfg)
+        });
         assert_eq!(
             history, golden,
             "TrainHistory diverges from the seed loop at {threads} threads"
@@ -152,10 +143,6 @@ fn fit_reproduces_seed_history_bit_for_bit() {
             model, reference,
             "trained weights diverge from the seed loop at {threads} threads"
         );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 
@@ -203,40 +190,33 @@ fn recompile_fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> T
 /// model shape in the fixture set.
 #[test]
 fn in_place_fit_matches_recompile_per_step_fit() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    std::env::set_var("AXDNN_THREADS", "2");
     let data = tiny_dataset(30, 17);
     let cfg = TrainConfig {
         epochs: 2,
         batch_size: 8,
         ..Default::default()
     };
-    for arch in 0..4 {
-        let mut want_model = small_model(arch, 23);
-        let want_history = recompile_fit(&mut want_model, &data, &cfg);
-        let mut got_model = small_model(arch, 23);
-        let got_history = fit(&mut got_model, &data, &cfg);
-        assert_eq!(
-            got_history, want_history,
-            "in-place history diverges from the recompiling loop (arch {arch})"
-        );
-        assert_eq!(
-            got_model, want_model,
-            "in-place weights diverge from the recompiling loop (arch {arch})"
-        );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
+    exec::with(exec::current().with_threads(2), || {
+        for arch in 0..4 {
+            let mut want_model = small_model(arch, 23);
+            let want_history = recompile_fit(&mut want_model, &data, &cfg);
+            let mut got_model = small_model(arch, 23);
+            let got_history = fit(&mut got_model, &data, &cfg);
+            assert_eq!(
+                got_history, want_history,
+                "in-place history diverges from the recompiling loop (arch {arch})"
+            );
+            assert_eq!(
+                got_model, want_model,
+                "in-place weights diverge from the recompiling loop (arch {arch})"
+            );
+        }
+    });
 }
 
 /// `batch_gradient` is the mean of the seed fold — and thread-invariant.
 #[test]
 fn batch_gradient_is_seed_mean_for_any_chunking() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(9, 21);
     let model = small_model(3, 22);
     let indices: Vec<usize> = (0..9).collect();
@@ -245,14 +225,11 @@ fn batch_gradient_is_seed_mean_for_any_chunking() {
     let (loss_sum, mut want) = seed_grad_sum(&model, &imgs, &labels);
     want.scale(1.0 / 9.0);
     let want_loss = loss_sum / 9.0;
-    for threads in ["1", "2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let (loss, grads) = batch_gradient(&model, &data, &indices);
+    for threads in [1, 2, 3, 7] {
+        let (loss, grads) = exec::with(exec::current().with_threads(threads), || {
+            batch_gradient(&model, &data, &indices)
+        });
         assert_eq!(loss, want_loss, "mean loss diverges at {threads} threads");
         assert_eq!(grads, want, "mean gradient diverges at {threads} threads");
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

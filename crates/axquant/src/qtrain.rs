@@ -56,7 +56,7 @@
 
 use axdata::Dataset;
 use axmul::{MulBackend, MulKernel};
-use axnn::exec as fexec;
+use axnn::exec::{self as fexec, FloatGemm};
 use axnn::layer::Layer;
 use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
@@ -152,8 +152,8 @@ pub struct QTrainPlan<'m> {
     /// Zero gradients in the shadow model's layout, cloned per use.
     grads_template: GradBuffer,
     /// Float GEMM tier the STE backward dispatches through, resolved
-    /// once at compile time ([`fexec::FloatKernel::from_env`]) — the
-    /// same dispatch story as [`axnn::plan::FPlan`].
+    /// once at compile time from the active [`axutil::exec::current`]
+    /// context — the same dispatch story as [`axnn::plan::FPlan`].
     kernel: fexec::FloatKernel,
 }
 
@@ -344,7 +344,7 @@ impl<'m> QTrainPlan<'m> {
             max_patch_u8,
             max_patch_f32,
             grads_template: shadow.zero_grads(),
-            kernel: fexec::FloatKernel::from_env(),
+            kernel: axutil::exec::current().kernel,
         }
     }
 

@@ -6,18 +6,14 @@
 //! 2. A multi-kernel ensemble equals the per-query reference "sample
 //!    the kernel for query `i`, then run the fixed path under it" —
 //!    the grouped batched passes are a pure optimization.
-//! 3. Predictions are identical across `AXDNN_THREADS` {1, 2, 3, 7}:
+//! 3. Predictions are identical across thread counts {1, 2, 3, 7}:
 //!    kernel choice is keyed by query index, never by chunking.
-
-use std::sync::Mutex;
 
 use axmul::{MulColumns, Registry};
 use axquant::{EnsembleModel, KernelPolicy, Placement, QuantModel};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn images(n: usize, seed: u64) -> Vec<Tensor> {
     let mut rng = Rng::seed_from_u64(seed);
@@ -78,25 +74,22 @@ fn ensemble_matches_per_query_fixed_reference() {
 
 #[test]
 fn ensemble_predictions_are_thread_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let qm = victim();
     let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "17KS", "L40"]);
     let ensemble = EnsembleModel::new(&qm, &cols, KernelPolicy::weighted(vec![1.0, 2.0, 1.0], 3));
     let imgs = images(11, 9);
-    std::env::set_var("AXDNN_THREADS", "1");
-    let golden = ensemble.predict_batch(imgs.len(), |i| &imgs[i]);
-    for threads in ["2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
+    let predict = |threads| {
+        exec::with(exec::current().with_threads(threads), || {
+            ensemble.predict_batch(imgs.len(), |i| &imgs[i])
+        })
+    };
+    let golden = predict(1);
+    for threads in [2, 3, 7] {
         assert_eq!(
-            ensemble.predict_batch(imgs.len(), |i| &imgs[i]),
+            predict(threads),
             golden,
             "ensemble predictions diverge at {threads} threads"
         );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 

@@ -3,7 +3,7 @@
 //! Three contracts:
 //!
 //! 1. **Thread invariance** — [`finetune`] histories and the final
-//!    shadow weights are *bit-identical* across `AXDNN_THREADS`
+//!    shadow weights are *bit-identical* across thread counts
 //!    {1, 2, 3, 7}: the batched STE gradient reduces per-image
 //!    gradients in a fixed left-to-right image order, so chunking must
 //!    never leak into the result (the PR 4 training contract, extended
@@ -15,10 +15,8 @@
 //!    the per-image fold bit-for-bit for any topology/batch size, and
 //!    empty or mixed-shape batches panic like the PR 4 entry points.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which each sweep scopes with `exec::with`.
 
 use axdata::Dataset;
 use axmul::{ExactMul, Registry};
@@ -28,11 +26,9 @@ use axnn::train::{fit, TrainConfig};
 use axquant::qtrain::{finetune, FinetuneConfig, QTrainPlan};
 use axquant::{Placement, QuantModel};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
@@ -102,8 +98,6 @@ proptest! {
         arch in 0usize..3,
         n in 1usize..7,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("AXDNN_THREADS").ok();
         let model = small_model(arch, seed);
         let data = tiny_dataset(8, seed ^ 0x57E);
         let calib = calib_of(&data, 4);
@@ -111,28 +105,26 @@ proptest! {
         let plan = QTrainPlan::compile(&qm, &model, &IN_DIMS);
         let lut = Registry::standard().build_lut("17KS").unwrap();
         // The reference: per-image gradients folded in image order.
-        std::env::set_var("AXDNN_THREADS", "1");
-        let mut s = plan.scratch();
-        let mut want_loss = 0.0f32;
-        let mut want = plan.zero_grads();
-        for i in 0..n {
-            let (l, g) = plan.loss_and_param_grads(&mut s, data.image(i), data.label(i), &lut);
-            want_loss += l;
-            want.accumulate(&g);
-        }
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let (loss, grads) =
-                plan.loss_and_param_grads_batch(n, |i| data.image(i), |i| data.label(i), &lut);
+        let (want_loss, want) = exec::with(exec::current().with_threads(1), || {
+            let mut s = plan.scratch();
+            let mut want_loss = 0.0f32;
+            let mut want = plan.zero_grads();
+            for i in 0..n {
+                let (l, g) = plan.loss_and_param_grads(&mut s, data.image(i), data.label(i), &lut);
+                want_loss += l;
+                want.accumulate(&g);
+            }
+            (want_loss, want)
+        });
+        for threads in [1, 2, 3, 7] {
+            let (loss, grads) = exec::with(exec::current().with_threads(threads), || {
+                plan.loss_and_param_grads_batch(n, |i| data.image(i), |i| data.label(i), &lut)
+            });
             prop_assert!(
                 loss == want_loss && grads == want,
                 "batched STE gradient diverges from the per-image fold \
                  (arch {arch}, seed {seed}, n {n}, threads {threads})"
             );
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
         }
     }
 }
@@ -141,8 +133,6 @@ proptest! {
 /// every thread chunking, across topologies and an approximate kernel.
 #[test]
 fn finetune_is_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(24, 77);
     let calib = calib_of(&data, 6);
     let lut = Registry::standard().build_lut("L40").unwrap();
@@ -154,13 +144,16 @@ fn finetune_is_bit_identical_across_thread_counts() {
         ..Default::default()
     };
     for arch in 0..3 {
-        let mut golden_model = small_model(arch, 100 + arch as u64);
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (golden_hist, _) = finetune(&mut golden_model, &data, &calib, &lut, &cfg).unwrap();
-        for threads in ["2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
+        let run = |threads| {
             let mut model = small_model(arch, 100 + arch as u64);
-            let (hist, _) = finetune(&mut model, &data, &calib, &lut, &cfg).unwrap();
+            let (hist, _) = exec::with(exec::current().with_threads(threads), || {
+                finetune(&mut model, &data, &calib, &lut, &cfg).unwrap()
+            });
+            (hist, model)
+        };
+        let (golden_hist, golden_model) = run(1);
+        for threads in [2, 3, 7] {
+            let (hist, model) = run(threads);
             assert_eq!(
                 hist, golden_hist,
                 "FinetuneHistory diverges at {threads} threads (arch {arch})"
@@ -171,10 +164,6 @@ fn finetune_is_bit_identical_across_thread_counts() {
             );
         }
     }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
 }
 
 /// Fine-tuning a converged model through the *exact* multiplier must be a
@@ -182,7 +171,6 @@ fn finetune_is_bit_identical_across_thread_counts() {
 /// to rounding, so the STE gradients are those of a converged model.
 #[test]
 fn exact_finetune_of_converged_model_is_near_noop() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // A high-margin variant of the tiny dataset: the class pixel is a
     // strong 3.0 bump, so "converged" means confidently correct and a
     // tiny weight drift cannot flip borderline samples.

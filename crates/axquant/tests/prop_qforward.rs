@@ -6,18 +6,14 @@
 //! `forward_with` calls, and the exact LUT must be bit-exact with the
 //! builtin exact multiplier through the GEMM path.
 
-use std::sync::Mutex;
-
 use axmul::{ExactMul, FaultedMul, MulLut};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axquant::{Placement, QLevel, QuantModel};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 6, 6];
 
@@ -133,7 +129,7 @@ proptest! {
 
 /// A stuck-at-faulted multiplier LUT must ride the same batch engine
 /// contracts as any other table kernel: `forward_batch_with` under a
-/// [`FaultedMul`] is bit-identical across `AXDNN_THREADS` 1/4 and
+/// [`FaultedMul`] is bit-identical across thread counts 1/4 and
 /// identical to the per-image `forward_with` path.
 #[test]
 fn faulted_kernel_batch_forward_is_thread_invariant() {
@@ -159,18 +155,14 @@ fn faulted_kernel_batch_forward_is_thread_invariant() {
     let probes = images(3, 43);
     let qm = QuantModel::from_float(&model, &calib, Placement::All).expect("supported topology");
 
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    let mut per_threads = Vec::new();
-    for threads in ["1", "4"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let plan = qm.plan(&IN_DIMS);
-        per_threads.push(plan.forward_batch_with(&probes, &[&fk]));
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
+    let per_threads: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            exec::with(exec::current().with_threads(threads), || {
+                qm.plan(&IN_DIMS).forward_batch_with(&probes, &[&fk])
+            })
+        })
+        .collect();
     assert_eq!(
         per_threads[0], per_threads[1],
         "faulted batch forward must not depend on thread chunking"

@@ -5,7 +5,7 @@
 //! 1. **Thread invariance** — the quantized
 //!    [`universal_adversarial_fit`] produces bit-identical histories,
 //!    shadow weights, requantized models and deltas across
-//!    `AXDNN_THREADS` {1, 2, 3, 7} on every fixture architecture: both
+//!    thread counts {1, 2, 3, 7} on every fixture architecture: both
 //!    gradient paths (float-shadow ascent, STE descent) fold per-image
 //!    results in fixed left-to-right image order (the PR 4 contract).
 //! 2. **Zero-ball reduction** — `eps == 0` pins the delta at zero and
@@ -18,10 +18,8 @@
 //! 3. **Entry-point panics** — empty datasets and negative budgets die
 //!    loudly.
 //!
-//! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Chunking is controlled by the thread count of the execution context,
+//! which the sweep scopes with `exec::with`.
 
 use axdata::Dataset;
 use axmul::{ExactMul, Registry};
@@ -34,11 +32,9 @@ use axquant::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
 use axquant::Placement;
 use axtensor::norms::Norm;
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
@@ -120,22 +116,21 @@ fn quick_cfg(eps: f32) -> UniversalFinetuneConfig {
 /// thread chunking, across topologies and an approximate kernel.
 #[test]
 fn universal_fit_is_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(24, 177);
     let calib = calib_of(&data, 6);
     let lut = Registry::standard().build_lut("L40").unwrap();
     let cfg = quick_cfg(0.06);
     for arch in 0..3 {
-        let mut golden_model = small_model(arch, 200 + arch as u64);
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (golden_hist, golden_qm, golden_delta) =
-            universal_adversarial_fit(&mut golden_model, &data, &calib, &lut, &cfg).unwrap();
-        for threads in ["2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
+        let run = |threads| {
             let mut model = small_model(arch, 200 + arch as u64);
-            let (hist, qm, delta) =
-                universal_adversarial_fit(&mut model, &data, &calib, &lut, &cfg).unwrap();
+            let (hist, qm, delta) = exec::with(exec::current().with_threads(threads), || {
+                universal_adversarial_fit(&mut model, &data, &calib, &lut, &cfg).unwrap()
+            });
+            (hist, qm, delta, model)
+        };
+        let (golden_hist, golden_qm, golden_delta, golden_model) = run(1);
+        for threads in [2, 3, 7] {
+            let (hist, qm, delta, model) = run(threads);
             assert_eq!(
                 hist, golden_hist,
                 "UniversalFinetuneHistory diverges at {threads} threads (arch {arch})"
@@ -154,10 +149,6 @@ fn universal_fit_is_bit_identical_across_thread_counts() {
             );
         }
     }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
 }
 
 proptest! {
@@ -171,7 +162,6 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..3,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let data = tiny_dataset(20, seed ^ 0xF1);
         let calib = calib_of(&data, 5);
         let cfg = quick_cfg(0.0);
@@ -195,7 +185,6 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..3,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let data = tiny_dataset(20, seed ^ 0xF2);
         let cfg = UniversalTrainConfig {
             base: TrainConfig { epochs: 2, batch_size: 5, ..Default::default() },

@@ -43,7 +43,7 @@
 //! A completed [`Response`] is **bit-identical** to an offline
 //! [`QPlan::forward_batch_with`](axquant::QPlan::forward_batch_with)
 //! pass over the same image with the answering kernel — for any worker
-//! count, batch coalescing, flush timing, or `AXDNN_THREADS` setting.
+//! count, batch coalescing, flush timing, or thread-count setting.
 //! Batching here never reassociates arithmetic; it only amortizes
 //! plan/scratch setup. Pinned by `tests/prop_serve.rs`.
 
@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 use axmul::{ExactMul, MulKernel, MulLut};
 use axquant::{KernelPolicy, QuantModel};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::sync::{bounded, BoundedSender, QueueDepth, SendError};
 use axutil::time::Deadline;
 
@@ -324,7 +325,9 @@ impl ServerBuilder {
     }
 
     /// Spawns the batcher and worker threads and returns the running
-    /// server.
+    /// server. Every server thread runs under the execution context
+    /// active here ([`axutil::exec::current`]), so a server built inside
+    /// [`axutil::exec::with`] keeps that scope's settings.
     ///
     /// # Panics
     ///
@@ -347,13 +350,14 @@ impl ServerBuilder {
         // bounded queue, which sheds — pressure reaches the caller.
         let (work_tx, work_rx) = mpsc::sync_channel::<Batch>(config.workers);
         let work_rx = Arc::new(Mutex::new(work_rx));
+        let cx = exec::current();
         let workers = (0..config.workers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 let work_rx = Arc::clone(&work_rx);
                 std::thread::Builder::new()
                     .name(format!("axserve-worker-{w}"))
-                    .spawn(move || worker_loop(&inner, &work_rx))
+                    .spawn(move || exec::with(cx, || worker_loop(&inner, &work_rx)))
                     .expect("spawn worker")
             })
             .collect();
@@ -361,7 +365,7 @@ impl ServerBuilder {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("axserve-batcher".to_owned())
-                .spawn(move || batcher_loop(&inner, &rx, &work_tx))
+                .spawn(move || exec::with(cx, || batcher_loop(&inner, &rx, &work_tx)))
                 .expect("spawn batcher")
         };
         Server {

@@ -2,13 +2,12 @@
 //! offline batch engine no matter how it is scheduled.
 //!
 //! For random models, batcher tunings (`max_batch`, `linger`), worker
-//! counts {1, 3} and `AXDNN_THREADS` {1, 4}, N concurrent clients each
+//! counts {1, 3} and thread counts {1, 4} (scoped with `exec::with`), N concurrent clients each
 //! submit one request; every completed response must be byte-identical
 //! to an offline `forward_batch_with` pass with the same kernel. This is
 //! the serving-layer extension of the engine-wide contract: concurrency
 //! and coalescing are performance knobs, never numerics knobs.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use axmul::{ExactMul, MulLut};
@@ -17,11 +16,9 @@ use axnn::model::Sequential;
 use axquant::{Placement, QuantModel};
 use axserve::{Request, Server, ServerConfig};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 6, 6];
 const N_CLIENTS: usize = 10;
@@ -162,43 +159,34 @@ proptest! {
         let imgs = images(N_CLIENTS, seed ^ 0x5E);
         let lut = biased_lut();
 
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("AXDNN_THREADS").ok();
-        let mut outcome = Ok(());
-        'sweep: for threads in ["1", "4"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            // Offline ground truth, recomputed under each thread setting
-            // (it is itself thread-invariant; recomputing proves it).
-            let qm = QuantModel::from_float(&model, &calib, Placement::All)
-                .expect("supported topology");
-            let plan = qm.plan(&IN_DIMS);
-            let want_exact = plan.forward_batch_with(&imgs, &[&ExactMul]);
-            let want_lut = plan.forward_batch_with(&imgs, &[&lut]);
-            drop(plan);
-            for workers in [1usize, 3] {
-                // The server takes ownership; rebuild deterministically.
+        let outcome = [1, 4].into_iter().try_for_each(|threads| {
+            exec::with(exec::current().with_threads(threads), || {
+                // Offline ground truth, recomputed under each thread setting
+                // (it is itself thread-invariant; recomputing proves it).
                 let qm = QuantModel::from_float(&model, &calib, Placement::All)
                     .expect("supported topology");
-                let result = check_one_config(
-                    qm,
-                    &imgs,
-                    &want_exact,
-                    &want_lut,
-                    workers,
-                    max_batch,
-                    Duration::from_micros(linger_us),
-                    seed ^ (workers as u64),
-                );
-                if let Err(msg) = result {
-                    outcome = Err(format!("AXDNN_THREADS={threads}: {msg}"));
-                    break 'sweep;
-                }
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
-        }
+                let plan = qm.plan(&IN_DIMS);
+                let want_exact = plan.forward_batch_with(&imgs, &[&ExactMul]);
+                let want_lut = plan.forward_batch_with(&imgs, &[&lut]);
+                drop(plan);
+                [1usize, 3].into_iter().try_for_each(|workers| {
+                    // The server takes ownership; rebuild deterministically.
+                    let qm = QuantModel::from_float(&model, &calib, Placement::All)
+                        .expect("supported topology");
+                    check_one_config(
+                        qm,
+                        &imgs,
+                        &want_exact,
+                        &want_lut,
+                        workers,
+                        max_batch,
+                        Duration::from_micros(linger_us),
+                        seed ^ (workers as u64),
+                    )
+                    .map_err(|msg| format!("threads={threads}: {msg}"))
+                })
+            })
+        });
         if let Err(msg) = outcome {
             prop_assert!(false, "{msg}");
         }

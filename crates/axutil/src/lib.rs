@@ -9,8 +9,12 @@
 //!   weight initialization and attack draw is bit-reproducible across
 //!   platforms and library versions, which is what makes the experiment
 //!   tables in `EXPERIMENTS.md` regenerable.
+//! * [`exec`] — the execution context: worker-thread count and float-GEMM
+//!   tier. `AXDNN_THREADS` and `AXDNN_KERNEL` are read once per process as
+//!   its default; code and tests scope other values with [`exec::with`].
 //! * [`parallel`] — scoped-thread helpers built on [`std::thread::scope`] for
-//!   embarrassingly parallel loops (per-image evaluation, batch gradients).
+//!   embarrassingly parallel loops (per-image evaluation, batch gradients),
+//!   sized by and running under the active [`exec::Context`].
 //! * [`binio`] — a small explicit binary codec (on top of `bytes`) used for
 //!   model-weight artifacts; explicit codecs keep artifacts bit-stable.
 //! * [`time`] — [`time::Deadline`]: latency budgets for the serving engine.
@@ -34,6 +38,7 @@
 
 pub mod binio;
 pub mod error;
+pub mod exec;
 pub mod parallel;
 pub mod rng;
 pub mod sync;

@@ -7,36 +7,60 @@
 //! hundreds of microseconds to milliseconds) per-call thread spawn cost is
 //! negligible and keeping no global state preserves determinism.
 //!
+//! The worker count is [`num_threads`], taken from the active
+//! [`exec::Context`], and every worker runs under the caller's context, so
+//! nested parallel calls and plans compiled inside a worker see the same
+//! settings as the caller.
+//!
 //! # Panic propagation
 //!
-//! These helpers are built on [`std::thread::scope`], which **joins every
-//! spawned worker before the call returns — even when one of them
-//! panics**. A panicking worker closure therefore (a) never deadlocks the
-//! calling thread, (b) never strands a sibling worker (each sibling runs
-//! its chunk to completion and is joined), and (c) re-raises the panic on
-//! the calling thread once all workers have been joined. Callers that
+//! Every helper joins **all** of its workers before returning — even
+//! when one of them panics — and then re-raises the first panicking
+//! worker's own payload on the calling thread. A panicking worker closure
+//! therefore (a) never deadlocks the calling thread, (b) never strands a
+//! sibling worker (each sibling runs its chunk to completion and is
+//! joined), and (c) surfaces with its original message. Callers that
 //! need fault isolation (the `axserve` batch workers) can rely on
 //! wrapping a call in [`std::panic::catch_unwind`]: after the unwind is
 //! caught, no helper thread is still running and no shared state is left
 //! mid-mutation by the helper itself. This guarantee is pinned by
-//! `panicking_worker_propagates_and_joins_siblings` in this module's
-//! tests.
+//! `panicking_worker_propagates_and_joins_siblings` and
+//! `every_helper_keeps_the_worker_panic_payload` in this module's tests.
 
-/// Returns the number of worker threads to use.
-///
-/// Honours the `AXDNN_THREADS` environment variable when set to a positive
-/// integer; otherwise uses the machine's available parallelism.
+use crate::exec;
+
+/// Returns the number of worker threads to use: the active
+/// [`exec::Context`]'s thread count (see [`exec::current`]).
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("AXDNN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    exec::current().threads.max(1)
+}
+
+/// Runs `work` on every input, one scoped thread per input, each under
+/// the caller's [`exec::Context`], and returns the results in input
+/// order. Every worker is joined; if any panicked, the first panicking
+/// worker's payload is re-raised after the last join.
+fn spawn_join<I, T, F>(inputs: I, work: F) -> Vec<T>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    T: Send,
+    F: Fn(I::Item) -> T + Sync,
+{
+    let cx = exec::current();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || exec::with(cx, || work(input))))
+            .collect();
+        // Join every worker before looking at any result, so a panic
+        // never strands a sibling; then the first payload wins.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    })
 }
 
 /// Maps `f` over `0..n` in parallel and collects results in index order.
@@ -85,35 +109,19 @@ where
     T: Send,
     F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
 {
+    let run = |range: std::ops::Range<usize>| {
+        let len = range.len();
+        let out = f(range);
+        assert_eq!(out.len(), len, "chunk fn must return range.len() results");
+        out
+    };
     let workers = num_threads().min(n.max(1));
     if workers <= 1 || n <= 1 {
-        let out = f(0..n);
-        assert_eq!(out.len(), n, "chunk fn must return range.len() results");
-        return out;
+        return run(0..n);
     }
     let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Option<Vec<T>>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (w, slot) in parts.iter_mut().enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let lo = (w * chunk).min(n);
-                let hi = ((w + 1) * chunk).min(n);
-                let out = f(lo..hi);
-                assert_eq!(
-                    out.len(),
-                    hi - lo,
-                    "chunk fn must return range.len() results"
-                );
-                *slot = Some(out);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts.into_iter().flatten() {
-        out.extend(part);
-    }
-    out
+    let ranges = (0..workers).map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n));
+    spawn_join(ranges, run).into_iter().flatten().collect()
 }
 
 /// Splits `items` into `num_threads()` contiguous chunks and runs `f` on
@@ -146,11 +154,8 @@ where
         return;
     }
     let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slice) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(w * chunk, slice));
-        }
+    spawn_join(items.chunks_mut(chunk).enumerate(), |(w, slice)| {
+        f(w * chunk, slice)
     });
 }
 
@@ -176,25 +181,12 @@ where
         return (0..n).fold(init(), &fold);
     }
     let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Option<A>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (w, slot) in parts.iter_mut().enumerate() {
-            let init = &init;
-            let fold = &fold;
-            scope.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let mut acc = init();
-                for i in lo..hi {
-                    acc = fold(acc, i);
-                }
-                *slot = Some(acc);
-            });
-        }
-    });
-    let mut iter = parts.into_iter().flatten();
-    let first = iter.next().expect("at least one worker");
-    iter.fold(first, merge)
+    let ranges = (0..workers).map(|w| w * chunk..((w + 1) * chunk).min(n));
+    let parts = spawn_join(ranges, |range| range.fold(init(), &fold));
+    parts
+        .into_iter()
+        .reduce(merge)
+        .expect("at least one worker")
 }
 
 #[cfg(test)]
@@ -308,5 +300,53 @@ mod tests {
             n - chunk,
             "sibling workers must finish their chunks"
         );
+    }
+
+    /// The payload contract for the other two helpers, forced onto the
+    /// multi-worker path with a 4-thread context so it cannot pass
+    /// vacuously on one thread.
+    #[test]
+    fn every_helper_keeps_the_worker_panic_payload() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn payload(err: Box<dyn std::any::Any + Send>) -> String {
+            err.downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        }
+        exec::with(exec::current().with_threads(4), || {
+            let mut xs = vec![0u32; 64];
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                par_chunks_mut(&mut xs, |base, chunk| {
+                    if base > 0 {
+                        panic!("chunk {base} failed");
+                    }
+                    chunk.fill(1);
+                })
+            }))
+            .expect_err("par_chunks_mut must propagate");
+            assert_eq!(
+                payload(err),
+                "chunk 16 failed",
+                "first panicking worker wins"
+            );
+
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                par_reduce(
+                    64,
+                    || 0usize,
+                    |acc, i| {
+                        if i == 40 {
+                            panic!("fold hit index {i}");
+                        }
+                        acc + i
+                    },
+                    |a, b| a + b,
+                )
+            }))
+            .expect_err("par_reduce must propagate");
+            assert_eq!(payload(err), "fold hit index 40");
+        });
     }
 }

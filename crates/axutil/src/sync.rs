@@ -6,8 +6,8 @@
 //! but it cannot answer "how full is the queue right now?", which a load-
 //! shedding server needs for stats and retry-after hints. [`bounded`]
 //! wraps the std channel with a shared depth counter: the sender
-//! increments on a successful send, the receiver decrements on a
-//! successful receive, and both sides (or anyone holding a clone of the
+//! increments before each send attempt (and takes it back if the send is
+//! refused), the receiver decrements on a successful receive, and both sides (or anyone holding a clone of the
 //! [`QueueDepth`] gauge) can read the instantaneous depth.
 //!
 //! The counter is advisory — between reading it and acting, other
@@ -68,17 +68,21 @@ pub struct BoundedSender<T> {
 
 impl<T> BoundedSender<T> {
     /// Attempts to enqueue without blocking. On success the depth gauge
-    /// is incremented; a full buffer returns [`SendError::Full`]
+    /// counts the item; a full buffer returns [`SendError::Full`]
     /// immediately — this is the load-shedding edge.
+    ///
+    /// The gauge is incremented *before* the item becomes receivable (and
+    /// taken back if the send is refused), so a receiver's decrement can
+    /// never run ahead of it and wrap the gauge below zero.
     pub fn try_send(&self, item: T) -> Result<(), SendError<T>> {
-        match self.tx.try_send(item) {
-            Ok(()) => {
-                self.depth.0.fetch_add(1, Ordering::Relaxed);
-                Ok(())
+        self.depth.0.fetch_add(1, Ordering::Relaxed);
+        self.tx.try_send(item).map_err(|e| {
+            self.depth.0.fetch_sub(1, Ordering::Relaxed);
+            match e {
+                TrySendError::Full(item) => SendError::Full(item),
+                TrySendError::Disconnected(item) => SendError::Disconnected(item),
             }
-            Err(TrySendError::Full(item)) => Err(SendError::Full(item)),
-            Err(TrySendError::Disconnected(item)) => Err(SendError::Disconnected(item)),
-        }
+        })
     }
 
     /// The advisory buffered-item count.
@@ -231,6 +235,44 @@ mod tests {
                 }
             }
         });
+        assert_eq!(rx.depth(), 0);
+    }
+
+    /// Many senders racing one receiver: after each receive the gauge
+    /// reads at most `capacity + senders` (a full buffer plus one counted,
+    /// not yet refused, attempt per sender), so it never wraps below zero.
+    #[test]
+    fn depth_never_wraps_under_concurrent_send_and_recv() {
+        const CAPACITY: usize = 2;
+        const SENDERS: usize = 4;
+        const PER_SENDER: usize = 5_000;
+        let (tx, rx) = bounded::<usize>(CAPACITY);
+        // The receiver drains to the end and the bound is checked after
+        // the join, so a violation fails the test instead of stranding
+        // the senders on a full buffer.
+        let (got, max_depth) = std::thread::scope(|s| {
+            for _ in 0..SENDERS {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    let mut sent = 0;
+                    while sent < PER_SENDER {
+                        match tx.try_send(sent) {
+                            Ok(()) => sent += 1,
+                            Err(_) => std::thread::yield_now(),
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let (mut got, mut max_depth) = (0, 0);
+            while rx.recv().is_ok() {
+                got += 1;
+                max_depth = max_depth.max(rx.depth());
+            }
+            (got, max_depth)
+        });
+        assert_eq!(got, SENDERS * PER_SENDER);
+        assert!(max_depth <= CAPACITY + SENDERS, "depth read {max_depth}");
         assert_eq!(rx.depth(), 0);
     }
 

@@ -3,11 +3,11 @@
 //!
 //! Part 1 crafts a small adversarial set on a LeNet-5-sized model both
 //! ways — per-image [`axattack::Attack::craft`] calls and one
-//! [`axattack::Attack::craft_batch`] pass — under `AXDNN_THREADS=1` so
-//! the comparison isolates the batching win (plan/scratch/tape reuse)
-//! from thread scaling, then re-times the batched path at the machine's
-//! parallelism. Part 2 runs the same comparison for the training
-//! gradient: the seed per-image `Sequential::loss_and_grads` fold vs one
+//! [`axattack::Attack::craft_batch`] pass — on one thread so the
+//! comparison isolates the batching win (plan/scratch/tape reuse) from
+//! thread scaling, then re-times the batched path under the caller's
+//! execution context (`AXDNN_THREADS`, else every core). Part 2 runs
+//! the same comparison for the training gradient: the seed per-image `Sequential::loss_and_grads` fold vs one
 //! `FPlan::loss_and_param_grads_batch` pass (bit-identical sums, pinned
 //! by `axnn/tests/prop_train`). Writes `BENCH_attacks.json` and
 //! `BENCH_train.json` into the current directory (the repo root in CI)
@@ -87,7 +87,8 @@ use axrobust::experiments::{run_fault_sweep, run_mtd_sweep, run_universal_sweep}
 use axrobust::faults::{sample_single_faults, FaultSweepOpts};
 use axrobust::{MtdSweepOpts, UniversalSweepOpts};
 use axtensor::Tensor;
-use axutil::{parallel, rng::Rng};
+use axutil::exec::{self, Context};
+use axutil::rng::Rng;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -126,17 +127,27 @@ struct Row {
 }
 
 fn main() {
-    // Remember the caller's thread setting: parts 1-3 pin/unpin
-    // AXDNN_THREADS around their timings, but the fault sweep (part 4)
-    // must run under the caller's choice so its thread invariance stays
-    // observable end to end.
-    let orig_threads = std::env::var("AXDNN_THREADS").ok();
-    // Pin the scalar-vs-batched comparison to one thread; the parallel
-    // column at the end shows the additional thread scaling.
-    std::env::set_var("AXDNN_THREADS", "1");
     let n_images = env_usize("AXDNN_BENCH_IMAGES", 8);
     let reps = env_usize("AXDNN_BENCH_REPS", 3);
+    // Parts 1-3 pin their scalar-vs-batched comparisons to one thread;
+    // their parallel columns, and parts 4-7, run under the caller's
+    // context so thread invariance stays observable end to end.
+    let caller = exec::current();
+    exec::with(caller.with_threads(1), || {
+        let (images, labels) = attacks_report(n_images, reps, caller);
+        train_report(&images, &labels, n_images, reps, caller);
+        finetune_report(reps, caller);
+    });
+    gemm_report(reps);
+    faults_report(reps);
+    universal_report();
+    mtd_report();
+}
 
+/// Part 1: attack crafting, scalar vs batched, on a LeNet-5-sized model.
+/// Returns the probe images and labels, which part 2 reuses. Writes
+/// `BENCH_attacks.json`.
+fn attacks_report(n_images: usize, reps: usize, caller: Context) -> (Vec<Tensor>, Vec<usize>) {
     let model = zoo::lenet5(&mut Rng::seed_from_u64(1));
     let mut rng = Rng::seed_from_u64(2);
     let images: Vec<Tensor> = (0..n_images)
@@ -177,14 +188,11 @@ fn main() {
                 ));
             }
         });
-        let batched_ms = median_ms(reps, || {
+        let batched = || {
             std::hint::black_box(attack.craft_batch(&model, &images, &labels, eps, &base));
-        });
-        std::env::remove_var("AXDNN_THREADS");
-        let batched_par_ms = median_ms(reps, || {
-            std::hint::black_box(attack.craft_batch(&model, &images, &labels, eps, &base));
-        });
-        std::env::set_var("AXDNN_THREADS", "1");
+        };
+        let batched_ms = median_ms(reps, batched);
+        let batched_par_ms = exec::with(caller, || median_ms(reps, batched));
         rows.push(Row {
             attack: attack.name(),
             scalar_ms,
@@ -193,8 +201,7 @@ fn main() {
         });
     }
 
-    std::env::remove_var("AXDNN_THREADS");
-    let threads = parallel::num_threads();
+    let threads = caller.threads;
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"attack_crafting\",\n");
     json.push_str("  \"model\": \"lenet5-1x28\",\n");
@@ -240,13 +247,7 @@ fn main() {
     if !slow.is_empty() {
         eprintln!("warning: batched crafting not faster for {slow:?}");
     }
-
-    train_report(&images, &labels, n_images, reps, threads);
-    finetune_report(reps, threads);
-    gemm_report(reps);
-    faults_report(reps, orig_threads.clone());
-    universal_report(orig_threads.clone());
-    mtd_report(orig_threads);
+    (images, labels)
 }
 
 /// One GEMM workload of part 5: a conv im2col product or a dense matvec
@@ -407,8 +408,14 @@ fn gemm_report(reps: usize) {
 /// folded in image order); batched is one
 /// `Sequential::loss_and_param_grads_batch` pass. Writes
 /// `BENCH_train.json`.
-fn train_report(images: &[Tensor], labels: &[usize], n_images: usize, reps: usize, threads: usize) {
-    std::env::set_var("AXDNN_THREADS", "1");
+fn train_report(
+    images: &[Tensor],
+    labels: &[usize],
+    n_images: usize,
+    reps: usize,
+    caller: Context,
+) {
+    let threads = caller.threads;
     let models = [
         ("ffnn-1x28", zoo::ffnn(&mut Rng::seed_from_u64(7))),
         ("lenet5-1x28", zoo::lenet5(&mut Rng::seed_from_u64(8))),
@@ -446,14 +453,11 @@ fn train_report(images: &[Tensor], labels: &[usize], n_images: usize, reps: usiz
         let scalar_ms = median_ms(reps, || {
             std::hint::black_box(scalar_step(model));
         });
-        let batched_ms = median_ms(reps, || {
+        let batched = || {
             std::hint::black_box(model.loss_and_param_grads_batch(images, labels));
-        });
-        std::env::remove_var("AXDNN_THREADS");
-        let batched_par_ms = median_ms(reps, || {
-            std::hint::black_box(model.loss_and_param_grads_batch(images, labels));
-        });
-        std::env::set_var("AXDNN_THREADS", "1");
+        };
+        let batched_ms = median_ms(reps, batched);
+        let batched_par_ms = exec::with(caller, || median_ms(reps, batched));
 
         let speedup = scalar_ms / batched_ms;
         json.push_str(&format!(
@@ -468,7 +472,6 @@ fn train_report(images: &[Tensor], labels: &[usize], n_images: usize, reps: usiz
         }
     }
     json.push_str("  ]\n}\n");
-    std::env::remove_var("AXDNN_THREADS");
 
     std::fs::write("BENCH_train.json", &json).expect("write BENCH_train.json");
     eprintln!("[saved BENCH_train.json]");
@@ -482,8 +485,8 @@ fn train_report(images: &[Tensor], labels: &[usize], n_images: usize, reps: usiz
 /// plan + scratch per image — the shape a naive per-image wrapper pays)
 /// vs batched (one compiled plan, chunked scratches). Writes
 /// `BENCH_finetune.json`.
-fn finetune_report(reps: usize, threads: usize) {
-    std::env::set_var("AXDNN_THREADS", "1");
+fn finetune_report(reps: usize, caller: Context) {
+    let threads = caller.threads;
     let n_train = env_usize("AXDNN_BENCH_FT_TRAIN", 400);
     let train = SynthMnist::generate(&MnistConfig {
         n: n_train,
@@ -551,19 +554,18 @@ fn finetune_report(reps: usize, threads: usize) {
     let scalar_ms = median_ms(reps, || {
         std::hint::black_box(scalar_step());
     });
-    let batched_ms = median_ms(reps, || {
+    let batched = || {
         std::hint::black_box(batched_step());
-    });
-    std::env::remove_var("AXDNN_THREADS");
-    let batched_par_ms = median_ms(reps, || {
-        std::hint::black_box(batched_step());
-    });
+    };
+    let batched_ms = median_ms(reps, batched);
+    let batched_par_ms = exec::with(caller, || median_ms(reps, batched));
     let speedup = scalar_ms / batched_ms;
 
     // The retraining defense itself: fine-tune through the approximate
     // forward and re-measure clean quantized accuracy.
     let mut shadow = model.clone();
-    let (hist, tuned) = finetune(&mut shadow, &train, &calib, &lut, &cfg).expect("finetune lenet5");
+    let (hist, tuned) = exec::with(caller, || finetune(&mut shadow, &train, &calib, &lut, &cfg))
+        .expect("finetune lenet5");
     let ft_acc = tuned.accuracy_with(&test, &lut, test.len());
 
     let json = format!(
@@ -600,12 +602,7 @@ fn finetune_report(reps: usize, threads: usize) {
 /// byte-identically; the only timed quantity — faulted-LUT rebuild
 /// throughput — is compared against its floor here and recorded as a
 /// boolean verdict, with the measured rate on stderr only.
-fn faults_report(reps: usize, orig_threads: Option<String>) {
-    // Run under the caller's thread setting (parts 1-3 pinned the var).
-    match &orig_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
+fn faults_report(reps: usize) {
     let n_eval = env_usize("AXDNN_BENCH_FAULT_EVAL", 60);
     let n_faults = env_usize("AXDNN_BENCH_FAULTS", 6);
     let floor_per_s = env_f64("AXDNN_BENCH_MIN_LUT_REBUILD", 5.0);
@@ -711,12 +708,7 @@ fn faults_report(reps: usize, orig_threads: Option<String>) {
 /// wall times go to stderr only. The verdict — hardening beats PTQ under
 /// the universal delta, averaged over the multiplier grid — is computed
 /// here and recorded as a boolean.
-fn universal_report(orig_threads: Option<String>) {
-    // Run under the caller's thread setting, like part 4.
-    match &orig_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
+fn universal_report() {
     let n_eval = env_usize("AXDNN_BENCH_UNIVERSAL_EVAL", 60);
     let n_craft = env_usize("AXDNN_BENCH_UNIVERSAL_CRAFT", 80);
 
@@ -818,12 +810,7 @@ fn universal_report(orig_threads: Option<String>) {
 /// `BENCH_mtd.json` replays byte-identically; wall time goes to stderr
 /// only. The honesty verdict — the adaptive attacker is no *weaker*
 /// than the static one against the ensemble — is recorded as a boolean.
-fn mtd_report(orig_threads: Option<String>) {
-    // Run under the caller's thread setting, like parts 4 and 6.
-    match &orig_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
+fn mtd_report() {
     let n_eval = env_usize("AXDNN_BENCH_MTD_EVAL", 60);
 
     // The quickstart smoke config: a briefly trained FFNN, quantized

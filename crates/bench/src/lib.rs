@@ -9,6 +9,11 @@
 //!   `<artifacts>/results/`.
 //! * `AXDNN_N_EVAL` — overrides the per-cell evaluation sample count.
 //! * `AXDNN_THREADS` — worker threads (default: available parallelism).
+//! * `AXDNN_KERNEL` — float-GEMM tier, `reference` or `tiled` (default).
+//!
+//! `AXDNN_THREADS` and `AXDNN_KERNEL` are read once per process, as the
+//! default [`axutil::exec::Context`]; code that needs other values scopes
+//! them with [`axutil::exec::with`] instead of mutating the environment.
 //!
 //! Regenerate everything with:
 //!

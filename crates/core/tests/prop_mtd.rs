@@ -1,11 +1,8 @@
 //! Pins the moving-target sweep's determinism contract: the full
 //! `{fixed kernel, randomized ensemble} × {clean, static PGD, adaptive
-//! EOT}` grid must be **bit-identical** for any `AXDNN_THREADS`
-//! setting. Kernel draws are keyed by query index, attack streams are
+//! EOT}` grid must be **bit-identical** for any thread count. Kernel draws are keyed by query index, attack streams are
 //! derived per image, and every evaluation rides the batched engines —
 //! so chunking may never leak into the report.
-
-use std::sync::Mutex;
 
 use axdata::mnist::{MnistConfig, SynthMnist};
 use axdata::Dataset;
@@ -16,10 +13,8 @@ use axnn::Sequential;
 use axquant::{Placement, QuantModel};
 use axrobust::mtd::{mtd_robustness_sweep, MtdSweepOpts};
 use axtensor::Tensor;
+use axutil::exec;
 use axutil::rng::Rng;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn quick_setup() -> (Sequential, QuantModel, Dataset) {
     let train = SynthMnist::generate(&MnistConfig {
@@ -49,8 +44,6 @@ fn quick_setup() -> (Sequential, QuantModel, Dataset) {
 
 #[test]
 fn mtd_sweep_is_thread_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let (model, q, test) = quick_setup();
     let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "17KS", "L40"]);
     let opts = MtdSweepOpts {
@@ -58,19 +51,18 @@ fn mtd_sweep_is_thread_invariant() {
         samples: 2,
         ..Default::default()
     };
-    std::env::set_var("AXDNN_THREADS", "1");
-    let golden = mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap();
+    let sweep = |threads| {
+        exec::with(exec::current().with_threads(threads), || {
+            mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap()
+        })
+    };
+    let golden = sweep(1);
     assert_eq!(golden.rows.len(), 3);
-    for threads in ["2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let report = mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap();
+    for threads in [2, 3, 7] {
+        let report = sweep(threads);
         assert_eq!(
             report, golden,
             "moving-target report diverges at {threads} threads"
         );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
