@@ -57,6 +57,20 @@
 //! needed anywhere. Plans resolve the tier once at compile time from the
 //! active execution context ([`axutil::exec::current`]), whose process
 //! default comes from `AXDNN_KERNEL`.
+//!
+//! # Batched parameter gradients
+//!
+//! Both training engines (`FPlan` here, `axquant`'s `QTrainPlan`) sum
+//! parameter gradients over a batch through [`param_grads_batch`]: dense
+//! layers keep only their rank-1 factors per image ([`DenseFactors`]) and
+//! [`fold_dense_grads`] folds them over weight rows in parallel,
+//! bit-identical to the per-image buffer fold.
+
+use std::sync::OnceLock;
+
+use axutil::parallel;
+
+use crate::model::GradBuffer;
 
 /// Extracts conv patches: row `p = oy * ow + ox` of `out` is the
 /// `[in_c * k * k]` receptive field of output position `(oy, ox)`,
@@ -188,6 +202,268 @@ pub fn dense_backward(
             *d += wv * gv;
         }
     }
+}
+
+/// One dense layer's place in a [`DenseFactors`] layout: its index in the
+/// [`GradBuffer`] and the offset of its `[g | x]` pair in an image record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DenseSlot {
+    layer: usize,
+    out_dim: usize,
+    in_dim: usize,
+    offset: usize,
+}
+
+/// The factored form of a model's dense-layer parameter gradients.
+///
+/// One image's weight gradient of a dense layer is the rank-1 product
+/// `g xᵀ` of the layer's upstream gradient `g` (`out_dim` floats) and its
+/// input `x` (`in_dim` floats), so a batch only has to keep those two
+/// vectors per image instead of an `out_dim × in_dim` buffer. An image
+/// *record* is one flat `f32` vector holding every dense layer's
+/// `[g | x]` pair at the offsets this layout assigns
+/// ([`DenseFactors::record`]); [`fold_dense_grads`] turns a batch of
+/// records into gradients.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DenseFactors {
+    slots: Vec<DenseSlot>,
+    len: usize,
+}
+
+impl DenseFactors {
+    /// Lays out the dense layers, given as `(layer, out_dim, in_dim)`
+    /// with `layer` their index in the [`GradBuffer`].
+    pub fn new(dense: impl IntoIterator<Item = (usize, usize, usize)>) -> Self {
+        let mut len = 0;
+        let slots = dense
+            .into_iter()
+            .map(|(layer, out_dim, in_dim)| {
+                let slot = DenseSlot {
+                    layer,
+                    out_dim,
+                    in_dim,
+                    offset: len,
+                };
+                len += out_dim + in_dim;
+                slot
+            })
+            .collect();
+        DenseFactors { slots, len }
+    }
+
+    /// Floats in one image record.
+    pub fn record_len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot of dense layer `layer`, if it is one.
+    fn slot(&self, layer: usize) -> Option<&DenseSlot> {
+        self.slots.iter().find(|s| s.layer == layer)
+    }
+
+    /// Stores dense layer `layer`'s upstream gradient `g` and input `x`
+    /// in `record`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is not a dense layer of this layout or the
+    /// lengths do not match it.
+    pub fn record(&self, record: &mut [f32], layer: usize, g: &[f32], x: &[f32]) {
+        let s = self.slot(layer).expect("not a dense layer of this layout");
+        let (gs, xs) = record[s.offset..s.offset + s.out_dim + s.in_dim].split_at_mut(s.out_dim);
+        gs.copy_from_slice(g);
+        xs.copy_from_slice(x);
+    }
+}
+
+/// Folds a batch of [`DenseFactors`] image records into the dense layers
+/// of `grads`, in ascending image order: `dw[o][t] += g_k[o] * x_k[t]`,
+/// skipping rows with `g_k[o] == 0`, and `db[o] += g_k[o]`.
+///
+/// # Bit-identity with the per-image fold
+///
+/// The reference runs [`dense_backward`] into a zeroed per-image buffer
+/// `B_k` and adds it to the running sum, `A += 1.0 * B_k`
+/// ([`GradBuffer::accumulate`]), image by image. Each element of `B_k`
+/// receives at most one addition, `+0.0 + p` with `p = g_k[o] * x_k[t]`,
+/// so it equals `p`, except that a `-0.0` product and a skipped row both
+/// leave `+0.0`; multiplying by `1.0` is exact, subnormals included. This
+/// fold adds `p` to `A` directly and skips zero rows, so the two differ
+/// only by adding a zero of the other sign, and adding either zero leaves
+/// `A` unchanged unless `A` is `-0.0`. `A` never is: it starts at `+0.0`,
+/// and under round-to-nearest a sum is `-0.0` only when both operands
+/// are. The results are therefore bit-identical. The bias is the same
+/// argument with `p = g_k[o]`.
+///
+/// Rows are independent, so one [`parallel::par_chunks_mut`] call spreads
+/// the rows of every layer over the threads, interleaved by relative row
+/// position so each thread gets a share of every layer. The order in
+/// which rows run cannot change a result. Biases fold serially.
+///
+/// # Panics
+///
+/// Panics if a record is not [`DenseFactors::record_len`] long or a dense
+/// layer of `grads` does not hold `[weight, bias]` gradients.
+pub fn fold_dense_grads(grads: &mut GradBuffer, layout: &DenseFactors, records: &[Vec<f32>]) {
+    struct Row<'g> {
+        slot: DenseSlot,
+        o: usize,
+        dw: &'g mut [f32],
+    }
+    assert!(
+        records.iter().all(|r| r.len() == layout.len),
+        "image record does not match the factor layout"
+    );
+    let mut rows = Vec::new();
+    for (layer, params) in grads.layers.iter_mut().enumerate() {
+        let Some(&slot) = layout.slot(layer) else {
+            continue;
+        };
+        let [dw, db] = &mut params[..] else {
+            panic!("dense layer {layer} lacks [weight, bias] gradients");
+        };
+        for r in records {
+            let g = &r[slot.offset..slot.offset + slot.out_dim];
+            for (d, &gv) in db.data_mut().iter_mut().zip(g) {
+                *d += gv;
+            }
+        }
+        rows.extend(
+            dw.data_mut()
+                .chunks_exact_mut(slot.in_dim)
+                .enumerate()
+                .map(|(o, dw)| Row { slot, o, dw }),
+        );
+    }
+    rows.sort_by(|a, b| (a.o * b.slot.out_dim).cmp(&(b.o * a.slot.out_dim)));
+    parallel::par_chunks_mut(&mut rows, |_, chunk| {
+        let mut terms = Vec::with_capacity(records.len());
+        for Row { slot, o, dw } in chunk {
+            let x_at = slot.offset + slot.out_dim;
+            terms.clear();
+            terms.extend(records.iter().filter_map(|r| {
+                let gv = r[slot.offset + *o];
+                (gv != 0.0).then(|| (gv, &r[x_at..x_at + slot.in_dim]))
+            }));
+            fold_row(dw, &terms);
+        }
+    });
+}
+
+/// Adds `Σ_k g_k * x_k` to one weight-gradient row, term by term in the
+/// given order. Blocks of [`FOLD_BLOCK`] row elements stay in registers
+/// while every term streams past, so each element's additions run in the
+/// same order as a term-by-term pass over the whole row.
+fn fold_row(row: &mut [f32], terms: &[(f32, &[f32])]) {
+    let mut blocks = row.chunks_exact_mut(FOLD_BLOCK);
+    let mut t0 = 0;
+    for block in &mut blocks {
+        let mut acc = [0.0f32; FOLD_BLOCK];
+        acc.copy_from_slice(block);
+        for &(gv, x) in terms {
+            for (a, &xv) in acc.iter_mut().zip(&x[t0..t0 + FOLD_BLOCK]) {
+                *a += gv * xv;
+            }
+        }
+        block.copy_from_slice(&acc);
+        t0 += FOLD_BLOCK;
+    }
+    let tail = blocks.into_remainder();
+    for &(gv, x) in terms {
+        for (d, &xv) in tail.iter_mut().zip(&x[t0..]) {
+            *d += gv * xv;
+        }
+    }
+}
+
+/// Row elements [`fold_row`] keeps in registers at once.
+const FOLD_BLOCK: usize = 32;
+
+/// Summed loss and parameter gradients over `n` images: the shared core
+/// of both training engines' `loss_and_param_grads_batch`.
+///
+/// *Phase 1* calls `image(scratch, i, conv, record)` for every image, in
+/// parallel image chunks with one `scratch()` each
+/// ([`parallel::par_map_chunks`]). `image` runs the forward and backward
+/// pass, adds the conv layers' parameter gradients into `conv` (a zeroed
+/// copy of `zero` whose dense layers are empty), stores every dense
+/// layer's factors in `record` ([`DenseFactors::record`]) and returns the
+/// loss. Images of the first chunk lead the reference order, so their
+/// conv gradients fold straight into the running sum; later chunks keep
+/// theirs until the in-order fold. *Phase 2* folds the dense factors with
+/// [`fold_dense_grads`].
+///
+/// The summed loss and gradients are bit-identical to the per-image fold
+/// `for i { loss += l_i; grads.accumulate(&g_i) }` over full per-image
+/// buffers, for any thread count: losses and conv gradients are folded
+/// in image order like the reference, and the dense fold is exact by the
+/// argument on [`fold_dense_grads`]. What one image keeps is its record
+/// (`in_dim + out_dim` floats per dense layer) plus, outside the first
+/// chunk, its conv gradients.
+///
+/// `zero` is the all-zero gradient buffer in the model's layout; it
+/// becomes the result.
+pub fn param_grads_batch<S>(
+    n: usize,
+    layout: &DenseFactors,
+    zero: GradBuffer,
+    scratch: impl Fn() -> S + Sync,
+    image: impl Fn(&mut S, usize, &mut GradBuffer, &mut [f32]) -> f32 + Sync,
+) -> (f32, GradBuffer) {
+    let conv_zero = GradBuffer {
+        layers: zero
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(layer, params)| match layout.slot(layer) {
+                Some(_) => Vec::new(),
+                None => params.clone(),
+            })
+            .collect(),
+    };
+    let head = OnceLock::new();
+    let per_image: Vec<(f32, Vec<f32>, Option<GradBuffer>)> =
+        parallel::par_map_chunks(n, |range| {
+            let mut s = scratch();
+            let mut sum = (range.start == 0).then(|| conv_zero.clone());
+            let out = range
+                .map(|i| {
+                    let mut record = vec![0.0f32; layout.len];
+                    let mut conv = conv_zero.clone();
+                    let loss = image(&mut s, i, &mut conv, &mut record);
+                    let conv = match sum.as_mut() {
+                        Some(sum) => {
+                            sum.accumulate(&conv);
+                            None
+                        }
+                        None => Some(conv),
+                    };
+                    (loss, record, conv)
+                })
+                .collect();
+            if let Some(sum) = sum {
+                head.set(sum).expect("one chunk starts at image 0");
+            }
+            out
+        });
+    let mut conv_sum = head.into_inner().expect("the chunk at image 0 ran");
+    let mut loss = 0.0f32;
+    let mut records = Vec::with_capacity(n);
+    for (l, record, conv) in per_image {
+        loss += l;
+        if let Some(conv) = conv {
+            conv_sum.accumulate(&conv);
+        }
+        records.push(record);
+    }
+    let mut grads = zero;
+    for (dst, src) in grads.layers.iter_mut().zip(conv_sum.layers) {
+        if !src.is_empty() {
+            *dst = src;
+        }
+    }
+    fold_dense_grads(&mut grads, layout, &records);
+    (loss, grads)
 }
 
 /// Extracts *gradient* patches for the conv input gradient: row
@@ -901,6 +1177,118 @@ mod tests {
         assert_eq!(dx, [1.0 * 5.0 + 3.0 * 6.0, 2.0 * 5.0 + 4.0 * 6.0]);
         assert_eq!(dw, [35.0, 40.0, 42.0, 48.0]);
         assert_eq!(db, [5.0, 6.0]);
+    }
+
+    /// The factored dense fold against its reference, `dense_backward`
+    /// into a zeroed per-image buffer plus `GradBuffer::accumulate`,
+    /// compared bit for bit at several thread counts. The factors mix
+    /// zero and `-0.0` gradients, zero inputs, products that round to
+    /// `-0.0` and subnormal products.
+    #[test]
+    fn dense_fold_is_bit_identical_to_per_image_buffers() {
+        use axtensor::Tensor;
+        use axutil::exec as cx;
+
+        // Dense layers at buffer positions 1 and 3, parameterless 0 and 2;
+        // 37 inputs cover a register block of `fold_row` plus its tail.
+        let dense = [(1usize, 5usize, 37usize), (3, 3, 5)];
+        let layout = DenseFactors::new(dense);
+        let mut zero = GradBuffer {
+            layers: vec![vec![]; 4],
+        };
+        for &(layer, out, inp) in &dense {
+            zero.layers[layer] = vec![Tensor::zeros(&[out, inp]), Tensor::zeros(&[out])];
+        }
+        let special = [
+            0.0f32,
+            -0.0,
+            1e-30,
+            -1e-30,
+            1e-20,
+            -3e-20,
+            f32::MIN_POSITIVE,
+            2.5,
+            -1.5,
+            0.75,
+            -2.5,
+        ];
+        let pick = |i: usize| special[i % special.len()];
+        // Image 0's products are all `-0.0`, and row 0 gets no other
+        // nonzero gradient, so its sum stays zero with an observable sign;
+        // the rest mix the special values.
+        let images: Vec<Vec<(Vec<f32>, Vec<f32>)>> = (0..9)
+            .map(|k| {
+                dense
+                    .iter()
+                    .map(|&(_, out, inp)| match k {
+                        0 => (vec![-1e-30; out], vec![1e-30; inp]),
+                        1 => (vec![0.0; out], (0..inp).map(pick).collect()),
+                        _ => (
+                            (0..out)
+                                .map(|o| if o == 0 { 0.0 } else { pick(k * 3 + o * 5) })
+                                .collect(),
+                            (0..inp).map(|t| pick(k * 7 + t * 2 + 1)).collect(),
+                        ),
+                    })
+                    .collect()
+            })
+            .collect();
+        // The fixture must reach the edge cases it claims to cover.
+        let products: Vec<(f32, f32)> = images
+            .iter()
+            .flatten()
+            .flat_map(|(g, x)| {
+                g.iter()
+                    .flat_map(move |&gv| x.iter().map(move |&xv| (gv, gv * xv)))
+            })
+            .collect();
+        assert!(products
+            .iter()
+            .any(|&(g, p)| g != 0.0 && p == 0.0 && p.is_sign_negative()));
+        assert!(products.iter().any(|&(_, p)| p.is_subnormal()));
+
+        let mut want = zero.clone();
+        for img in &images {
+            let mut buf = zero.clone();
+            for (&(layer, out, inp), (g, x)) in dense.iter().zip(img) {
+                let w = vec![0.5f32; out * inp];
+                let mut dx = vec![0.0f32; inp];
+                let (wg, bg) = buf.layers[layer].split_at_mut(1);
+                dense_backward(
+                    &w,
+                    g,
+                    x,
+                    &mut dx,
+                    Some(wg[0].data_mut()),
+                    Some(bg[0].data_mut()),
+                );
+            }
+            want.accumulate(&buf);
+        }
+        let records: Vec<Vec<f32>> = images
+            .iter()
+            .map(|img| {
+                let mut r = vec![f32::NAN; layout.record_len()];
+                for (&(layer, ..), (g, x)) in dense.iter().zip(img) {
+                    layout.record(&mut r, layer, g, x);
+                }
+                r
+            })
+            .collect();
+        let bits = |b: &GradBuffer| -> Vec<u32> {
+            b.layers
+                .iter()
+                .flatten()
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for threads in [1, 2, 3, 7] {
+            let mut got = zero.clone();
+            cx::with(cx::current().with_threads(threads), || {
+                fold_dense_grads(&mut got, &layout, &records)
+            });
+            assert_eq!(bits(&got), bits(&want), "{threads} threads");
+        }
     }
 
     #[test]

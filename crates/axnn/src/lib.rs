@@ -20,9 +20,9 @@
 //!   momentum and a deterministic mini-batch training loop riding the
 //!   batched engine: every minibatch runs through
 //!   [`plan::FPlan::loss_and_param_grads_batch`] (one plan, one training
-//!   scratch per thread chunk), with per-example gradients reduced in a
-//!   fixed order so trained weights are bit-identical for any
-//!   `AXDNN_THREADS` setting.
+//!   scratch per thread chunk, dense gradients kept as rank-1 factors per
+//!   example), with every gradient element summed in a fixed order so
+//!   trained weights are bit-identical for any `AXDNN_THREADS` setting.
 //! * [`zoo`] — the paper's architectures: LeNet-5, a 5-conv/3-pool/2-FC
 //!   AlexNet-mini, and the motivational-study FFNN.
 //! * [`serialize`] — explicit binary weight artifacts (see

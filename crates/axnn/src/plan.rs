@@ -20,14 +20,18 @@
 //! scratch per chunk — the engine `axattack`'s batched crafting steps on.
 //!
 //! Training rides the same engine through
-//! [`FPlan::loss_and_param_grads_batch`]: a whole minibatch runs on one
-//! plan with one *training* scratch per thread chunk
-//! ([`FPlan::train_scratch`] additionally stores each conv layer's
-//! forward im2col patches so the parameter-gradient backward reuses them
-//! instead of re-extracting), and the per-image gradients are reduced in
-//! a fixed left-to-right image order — the summed [`GradBuffer`] is
-//! bit-identical to the seed per-image [`Sequential::loss_and_grads`]
-//! fold for **any** thread chunking.
+//! [`FPlan::loss_and_param_grads_batch`], a factored two-phase fold
+//! ([`exec::param_grads_batch`]). A whole minibatch runs on one plan with
+//! one *training* scratch per thread chunk ([`FPlan::train_scratch`]
+//! additionally stores each conv layer's forward im2col patches so the
+//! parameter-gradient backward reuses them instead of re-extracting).
+//! Per image, a dense layer keeps only the rank-1 factors of its weight
+//! gradient, its upstream gradient and its input, and the backward stops
+//! at the lowest parameterized layer. The factors then fold over weight
+//! rows in parallel ([`exec::fold_dense_grads`]), each row summing the
+//! images left to right, so the summed [`GradBuffer`] is bit-identical
+//! to the seed per-image [`Sequential::loss_and_grads`] fold for **any**
+//! thread chunking.
 //!
 //! # Plan caching and in-place weights
 //!
@@ -199,6 +203,8 @@ pub struct FPlan<'m> {
     max_act: usize,
     /// Largest forward or backward im2col patch any conv step needs.
     max_patch: usize,
+    /// Where each dense step's factors sit in a batch image record.
+    factors: exec::DenseFactors,
     /// GEMM tier every kernel call dispatches through, resolved once at
     /// compile time from the active [`axutil::exec::current`] context.
     kernel: exec::FloatKernel,
@@ -221,6 +227,18 @@ pub struct FScratch {
     /// parameter-gradient backward reads them back instead of re-running
     /// `im2col` — identical bytes, one extraction instead of two.
     fwd_patches: Vec<Vec<f32>>,
+}
+
+/// What a backward pass produces besides the loss.
+enum Want<'a> {
+    /// The input gradient (the attack path).
+    InputGrad,
+    /// Parameter gradients, accumulated into the buffer.
+    Params(&'a mut GradBuffer),
+    /// Parameter gradients for the batch fold: conv layers accumulate
+    /// into the buffer, dense layers store their factors in the image
+    /// record ([`exec::DenseFactors`]).
+    Factored(&'a mut GradBuffer, &'a mut [f32]),
 }
 
 /// The geometry of one conv step's backward gather table — the full key
@@ -305,6 +323,7 @@ impl<'m> FPlan<'m> {
         let mut max_patch = 0usize;
         let mut act_lens = Vec::with_capacity(model.layers().len());
         let mut steps = Vec::with_capacity(model.layers().len());
+        let mut dense = Vec::new();
         for layer in model.layers() {
             act_lens.push(dims.iter().product());
             match layer {
@@ -358,6 +377,7 @@ impl<'m> FPlan<'m> {
                         unreachable!("dense weights are 2-D");
                     };
                     assert_eq!(flat, in_dim, "dense input size mismatch");
+                    dense.push((steps.len(), out_dim, in_dim));
                     steps.push(FStep::Dense {
                         w: PlanParam::Borrowed(d.weight()),
                         b: PlanParam::Borrowed(d.bias()),
@@ -399,6 +419,7 @@ impl<'m> FPlan<'m> {
             out_len: dims.iter().product(),
             max_act,
             max_patch,
+            factors: exec::DenseFactors::new(dense),
             kernel: axutil::exec::current().kernel,
         }
     }
@@ -433,6 +454,7 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
+            factors,
             kernel,
         } = self;
         let steps = steps
@@ -491,6 +513,7 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
+            factors,
             kernel,
         }
     }
@@ -579,11 +602,18 @@ impl<'m> FPlan<'m> {
     /// gather with a table walk. Building a table costs about as much as
     /// one direct gather, so this pays off whenever a plan runs more
     /// than a couple of backward passes — the batch entry points and the
-    /// batched attack loops call it up front; one-shot wrapper calls
+    /// batched attack loops build the tables they use up front (the
+    /// training batch skips the lowest parameterized step, whose input
+    /// gradient it never computes); one-shot wrapper calls
     /// (`Sequential::input_gradient`) skip it. Results are bit-identical
     /// either way; idempotent and thread-safe.
     pub fn prepare_backward(&self) {
-        for step in &self.steps {
+        self.prepare_gathers(0);
+    }
+
+    /// Builds the gather tables of the conv steps from step `first` on.
+    fn prepare_gathers(&self, first: usize) {
+        for step in self.steps.iter().skip(first) {
             if let FStep::Conv {
                 in_dims,
                 k,
@@ -788,14 +818,13 @@ impl<'m> FPlan<'m> {
 
     /// Back-propagates the loss gradient down the tape (the forward pass
     /// must have run). Returns the loss and the ping-pong side holding
-    /// the input gradient; parameter gradients are accumulated into
-    /// `buf` when provided.
-    fn run_backward(
-        &self,
-        s: &mut FScratch,
-        target: usize,
-        mut buf: Option<&mut GradBuffer>,
-    ) -> (f32, usize) {
+    /// the input gradient.
+    ///
+    /// The batch fold ([`Want::Factored`]) stops at the lowest
+    /// parameterized layer: the input gradient below it is never read, so
+    /// it is not computed and the returned side is meaningless. The other
+    /// modes run every step.
+    fn run_backward(&self, s: &mut FScratch, target: usize, mut want: Want<'_>) -> (f32, usize) {
         let logits = Tensor::from_vec(self.logits(s).to_vec(), &[self.out_len]);
         let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
         let FScratch {
@@ -804,9 +833,16 @@ impl<'m> FPlan<'m> {
             grad,
             fwd_patches,
         } = s;
+        let factored = matches!(want, Want::Factored(..));
+        let lowest = if factored {
+            self.lowest_param_step()
+        } else {
+            0
+        };
         let mut side = 0usize;
         grad[side][..self.out_len].copy_from_slice(dlogits.data());
-        for (i, step) in self.steps.iter().enumerate().rev() {
+        for (i, step) in self.steps.iter().enumerate().skip(lowest).rev() {
+            let want_dx = !factored || i > lowest;
             let in_len = self.act_lens[i];
             let x = &acts[i];
             let (gsrc, gdst) = grad_sides(grad, side);
@@ -826,7 +862,7 @@ impl<'m> FPlan<'m> {
                     ..
                 } => {
                     let g = &gsrc[..out_dims.iter().product::<usize>()];
-                    if let Some(buf) = buf.as_deref_mut() {
+                    if let Want::Params(buf) | Want::Factored(buf, _) = &mut want {
                         // Parameter grads read the *forward* patches of
                         // this layer's input: straight off the training
                         // scratch's tape when present, recomputed on
@@ -847,23 +883,25 @@ impl<'m> FPlan<'m> {
                             bg[0].data_mut(),
                         );
                     }
-                    // The indexed gather and the direct one produce the
-                    // same bytes; which runs is purely a cost trade-off
-                    // (see `prepare_backward`).
-                    match gather.get() {
-                        Some(table) => exec::grad_im2col_indexed(g, table, patch),
-                        None => exec::grad_im2col(
-                            g,
-                            out_dims,
-                            [in_dims[1], in_dims[2]],
-                            k,
-                            stride,
-                            pad,
-                            patch,
-                        ),
+                    if want_dx {
+                        // The indexed gather and the direct one produce
+                        // the same bytes; which runs is purely a cost
+                        // trade-off (see `prepare_backward`).
+                        match gather.get() {
+                            Some(table) => exec::grad_im2col_indexed(g, table, patch),
+                            None => exec::grad_im2col(
+                                g,
+                                out_dims,
+                                [in_dims[1], in_dims[2]],
+                                k,
+                                stride,
+                                pad,
+                                patch,
+                            ),
+                        }
+                        self.kernel
+                            .conv_backward_dx(wt, patch, bwd_rows, bwd_cols, gdst);
                     }
-                    self.kernel
-                        .conv_backward_dx(wt, patch, bwd_rows, bwd_cols, gdst);
                 }
                 FStep::Dense {
                     ref w,
@@ -871,21 +909,21 @@ impl<'m> FPlan<'m> {
                     out_dim,
                     ..
                 } => {
-                    let (dw, db) = match buf.as_deref_mut() {
-                        Some(buf) => {
+                    let (g, xin) = (&gsrc[..out_dim], &x[..in_dim]);
+                    let (dw, db) = match &mut want {
+                        Want::Params(buf) => {
                             let (wg, bg) = buf.layers[i].split_at_mut(1);
                             (Some(wg[0].data_mut()), Some(bg[0].data_mut()))
                         }
-                        None => (None, None),
+                        Want::Factored(_, record) => {
+                            self.factors.record(record, i, g, xin);
+                            (None, None)
+                        }
+                        Want::InputGrad => (None, None),
                     };
-                    self.kernel.dense_backward(
-                        w.data(),
-                        &gsrc[..out_dim],
-                        &x[..in_dim],
-                        gdst,
-                        dw,
-                        db,
-                    );
+                    if want_dx {
+                        self.kernel.dense_backward(w.data(), g, xin, gdst, dw, db);
+                    }
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
                     let [c, h, w] = in_dims;
@@ -904,12 +942,21 @@ impl<'m> FPlan<'m> {
         (loss, side)
     }
 
+    /// Index of the lowest step with parameters (the step count when no
+    /// step has any).
+    fn lowest_param_step(&self) -> usize {
+        self.steps
+            .iter()
+            .position(|step| matches!(step, FStep::Conv { .. } | FStep::Dense { .. }))
+            .unwrap_or(self.steps.len())
+    }
+
     /// Cross-entropy loss and the gradient with respect to the input —
     /// the quantity gradient-based adversarial attacks ascend.
     /// Bit-compatible with the seed [`Sequential::input_gradient`] path.
     pub fn input_gradient(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Tensor) {
         self.run_forward(s, x);
-        let (loss, side) = self.run_backward(s, target, None);
+        let (loss, side) = self.run_backward(s, target, Want::InputGrad);
         (
             loss,
             Tensor::from_vec(s.grad[side][..self.in_len].to_vec(), x.dims()),
@@ -921,7 +968,7 @@ impl<'m> FPlan<'m> {
     pub fn loss_and_grads(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, GradBuffer) {
         self.run_forward(s, x);
         let mut buf = self.zero_grads();
-        let (loss, _) = self.run_backward(s, target, Some(&mut buf));
+        let (loss, _) = self.run_backward(s, target, Want::Params(&mut buf));
         (loss, buf)
     }
 
@@ -979,21 +1026,21 @@ impl<'m> FPlan<'m> {
     /// Summed cross-entropy loss and parameter gradients over a whole
     /// minibatch — the training hot path.
     ///
-    /// The batch is split into contiguous image chunks over threads
-    /// ([`axutil::parallel::par_map_chunks`]); each chunk runs on one
-    /// [`FPlan::train_scratch`] (forward tape and conv patches reused
-    /// across its images). The per-image gradients are then reduced in a
-    /// fixed left-to-right image order into one [`GradBuffer`], so the
-    /// sum — and the summed loss — is **bit-identical** to the seed
-    /// per-image fold
-    /// `for i { loss += l_i; grads.accumulate(&g_i) }` regardless of how
-    /// the work is chunked: chunk results are concatenated in index
-    /// order before the reduction, because a chunk-level pre-sum would
-    /// tie the float accumulation order to the thread count. (When the
-    /// whole batch runs as one chunk the fold happens inline — the
-    /// serial fold *is* the reference order — so each per-image gradient
-    /// is accumulated and freed immediately instead of all `n` being
-    /// buffered until the fold.)
+    /// Runs as the two-phase fold of [`exec::param_grads_batch`]. Phase 1
+    /// splits the batch into contiguous image chunks over threads, each on
+    /// one [`FPlan::train_scratch`] (forward tape and conv patches reused
+    /// across its images). Per image it keeps only each dense layer's
+    /// upstream gradient and forward input (the rank-1 factors of its
+    /// weight gradient; 1,594 floats for the FFNN instead of a
+    /// 266,610-float buffer) plus, outside the first chunk, the conv
+    /// layers' gradients. The backward stops at the lowest parameterized
+    /// layer. Phase 2 folds the dense factors over weight rows in parallel
+    /// ([`exec::fold_dense_grads`]), and the losses and conv gradients
+    /// fold in image order.
+    ///
+    /// The sum, and the summed loss, are **bit-identical** to the seed
+    /// per-image fold `for i { loss += l_i; grads.accumulate(&g_i) }` for
+    /// any thread count; [`exec::fold_dense_grads`] states why.
     ///
     /// Callers wanting the *mean* divide by `n` afterwards, exactly like
     /// the seed loop ([`crate::train::batch_gradient`] does).
@@ -1014,33 +1061,19 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
-        self.prepare_backward();
-        if parallel::num_threads().min(n) <= 1 {
-            // One chunk: fold as we go — this is exactly the reference
-            // image-order reduction, without buffering per-image grads.
-            let mut s = self.train_scratch();
-            let mut loss = 0.0f32;
-            let mut grads = self.zero_grads();
-            for i in 0..n {
-                let (l, g) = self.loss_and_grads(&mut s, image(i), label(i));
-                loss += l;
-                grads.accumulate(&g);
-            }
-            return (loss, grads);
-        }
-        let per_image: Vec<(f32, GradBuffer)> = parallel::par_map_chunks(n, |range| {
-            let mut s = self.train_scratch();
-            range
-                .map(|i| self.loss_and_grads(&mut s, image(i), label(i)))
-                .collect()
-        });
-        let mut loss = 0.0f32;
-        let mut grads = self.zero_grads();
-        for (l, g) in &per_image {
-            loss += l;
-            grads.accumulate(g);
-        }
-        (loss, grads)
+        // The fold never computes the lowest step's input gradient.
+        self.prepare_gathers(self.lowest_param_step() + 1);
+        exec::param_grads_batch(
+            n,
+            &self.factors,
+            self.zero_grads(),
+            || self.train_scratch(),
+            |s, i, conv, record| {
+                self.run_forward(s, image(i));
+                self.run_backward(s, label(i), Want::Factored(conv, record))
+                    .0
+            },
+        )
     }
 
     /// Zero gradients shaped like the planned model's parameters (the

@@ -15,6 +15,7 @@ use axdata::Dataset;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
 use axnn::train::{batch_gradient, fit, TrainConfig, TrainHistory};
+use axnn::zoo;
 use axtensor::Tensor;
 use axutil::exec;
 use axutil::rng::Rng;
@@ -231,5 +232,72 @@ fn batch_gradient_is_seed_mean_for_any_chunking() {
         });
         assert_eq!(loss, want_loss, "mean loss diverges at {threads} threads");
         assert_eq!(grads, want, "mean gradient diverges at {threads} threads");
+    }
+}
+
+/// The FFNN shape (784-300-100-10) with every third first-layer unit
+/// ReLU-dead (bias -100), so the factored dense fold meets weight rows
+/// whose upstream gradient is zero.
+fn dead_unit_ffnn(seed: u64) -> Sequential {
+    let mut model = zoo::ffnn(&mut Rng::seed_from_u64(seed));
+    let mut params = model.layers_mut()[1].params_mut();
+    for (o, b) in params[1].data_mut().iter_mut().enumerate() {
+        if o % 3 == 0 {
+            *b = -100.0;
+        }
+    }
+    model
+}
+
+/// The bit patterns of every gradient, so `-0.0` and `+0.0` differ.
+fn grad_bits(g: &GradBuffer) -> Vec<u32> {
+    g.layers
+        .iter()
+        .flatten()
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Edge cases of the factored fold against the seed per-image fold, bit
+/// for bit at threads {1, 2, 3, 7}: one image, fewer images than
+/// threads, and batch sizes the thread counts do not divide, on the FFNN
+/// shape with ReLU-dead units.
+#[test]
+fn factored_fold_edge_cases_match_seed_fold() {
+    let model = dead_unit_ffnn(61);
+    let mut rng = Rng::seed_from_u64(62);
+    let imgs: Vec<Tensor> = (0..9)
+        .map(|_| {
+            let mut t = Tensor::zeros(&[1, 28, 28]);
+            rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
+            t
+        })
+        .collect();
+    let labels: Vec<usize> = (0..9).map(|i| (i * 7) % 10).collect();
+    for n in [1, 2, 5, 9] {
+        let (imgs, labels) = (&imgs[..n], &labels[..n]);
+        let (want_loss, want) = exec::with(exec::current().with_threads(1), || {
+            seed_grad_sum(&model, imgs, labels)
+        });
+        let dead_rows = want.layers[1][0]
+            .data()
+            .chunks(784)
+            .filter(|row| row.iter().all(|&v| v == 0.0))
+            .count();
+        assert!(dead_rows >= 100, "only {dead_rows} zero rows at n {n}");
+        for threads in [1, 2, 3, 7] {
+            let (loss, grads) = exec::with(exec::current().with_threads(threads), || {
+                model.loss_and_param_grads_batch(imgs, labels)
+            });
+            assert_eq!(
+                loss.to_bits(),
+                want_loss.to_bits(),
+                "loss diverges (n {n}, threads {threads})"
+            );
+            assert!(
+                grad_bits(&grads) == grad_bits(&want),
+                "gradients diverge from the seed fold (n {n}, threads {threads})"
+            );
+        }
     }
 }

@@ -26,11 +26,12 @@
 //!
 //! # Determinism and thread invariance
 //!
-//! [`QTrainPlan::loss_and_param_grads_batch`] rides the chunked-scratch
-//! machinery ([`axutil::parallel::par_map_chunks`], one training scratch
-//! per chunk) and reduces per-image gradients in a fixed left-to-right
-//! image order, exactly like
-//! [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch).
+//! [`QTrainPlan::loss_and_param_grads_batch`] rides the factored
+//! two-phase fold of
+//! [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch)
+//! ([`axnn::exec::param_grads_batch`], one training scratch per thread
+//! chunk) and sums every gradient element over the images in a fixed
+//! left-to-right order.
 //! Fine-tuned weights and [`FinetuneHistory`] are therefore
 //! **bit-identical for any `AXDNN_THREADS` setting**
 //! (pinned by `axquant/tests/prop_finetune.rs`).
@@ -62,7 +63,7 @@ use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
 use axtensor::Tensor;
-use axutil::{parallel, AxError};
+use axutil::AxError;
 
 use crate::exec;
 use crate::placement::Placement;
@@ -151,6 +152,9 @@ pub struct QTrainPlan<'m> {
     max_patch_f32: usize,
     /// Zero gradients in the shadow model's layout, cloned per use.
     grads_template: GradBuffer,
+    /// Where each dense layer's factors sit in a batch image record
+    /// (indexed by shadow layer).
+    factors: fexec::DenseFactors,
     /// Float GEMM tier the STE backward dispatches through, resolved
     /// once at compile time from the active [`axutil::exec::current`]
     /// context — the same dispatch story as [`axnn::plan::FPlan`].
@@ -200,6 +204,7 @@ impl<'m> QTrainPlan<'m> {
         let mut n_classes = 0usize;
         let mut act_lens = Vec::new();
         let mut steps = Vec::new();
+        let mut dense = Vec::new();
         for ql in qm.qlayers() {
             act_lens.push(dims.iter().product());
             match ql {
@@ -277,6 +282,7 @@ impl<'m> QTrainPlan<'m> {
                     );
                     let w_deq = dequantize_weights(w, scale);
                     let logits = w.requant.is_none();
+                    dense.push((fi, *out_dim, *in_dim));
                     steps.push(TStep::Dense {
                         w,
                         approx: qm.placement().applies_to_dense(),
@@ -344,6 +350,7 @@ impl<'m> QTrainPlan<'m> {
             max_patch_u8,
             max_patch_f32,
             grads_template: shadow.zero_grads(),
+            factors: fexec::DenseFactors::new(dense),
             kernel: axutil::exec::current().kernel,
         }
     }
@@ -481,9 +488,19 @@ impl<'m> QTrainPlan<'m> {
     }
 
     /// Back-propagates the cross-entropy gradient down the `u8` tape with
-    /// the clipped straight-through estimator, accumulating parameter
-    /// gradients into `buf` (shadow-model layout). Returns the loss.
-    fn run_backward(&self, s: &mut QTrainScratch, target: usize, buf: &mut GradBuffer) -> f32 {
+    /// the clipped straight-through estimator and returns the loss.
+    /// Parameter gradients (shadow-model layout) accumulate into `buf`;
+    /// with a `record`, dense layers store their factors there instead
+    /// ([`fexec::DenseFactors`]), only conv layers write to `buf`, and the
+    /// pass stops at the lowest parameterized layer, whose input gradient
+    /// nobody reads.
+    fn run_backward(
+        &self,
+        s: &mut QTrainScratch,
+        target: usize,
+        buf: &mut GradBuffer,
+        mut record: Option<&mut [f32]>,
+    ) -> f32 {
         let logits = Tensor::from_vec(s.logits.clone(), &[self.n_classes]);
         let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
         let QTrainScratch {
@@ -493,9 +510,19 @@ impl<'m> QTrainPlan<'m> {
             gbuf,
             ..
         } = s;
+        let factored = record.is_some();
+        let lowest = if factored {
+            self.steps
+                .iter()
+                .position(|step| matches!(step, TStep::Conv { .. } | TStep::Dense { .. }))
+                .unwrap_or(self.steps.len())
+        } else {
+            0
+        };
         let mut side = 0usize;
         gbuf[side][..self.n_classes].copy_from_slice(dlogits.data());
-        for (i, step) in self.steps.iter().enumerate().rev() {
+        for (i, step) in self.steps.iter().enumerate().skip(lowest).rev() {
+            let want_dx = !factored || i > lowest;
             let in_len = self.act_lens[i];
             let x_codes = &acts[i];
             let (gsrc, gdst) = grad_sides(gbuf, side);
@@ -545,9 +572,11 @@ impl<'m> QTrainPlan<'m> {
                         wg[0].data_mut(),
                         bg[0].data_mut(),
                     );
-                    fexec::grad_im2col_indexed(&gsrc[..out_len], gather, patch_f32);
-                    self.kernel
-                        .conv_backward_dx(wt_deq, patch_f32, bwd_rows, bwd_cols, gdst);
+                    if want_dx {
+                        fexec::grad_im2col_indexed(&gsrc[..out_len], gather, patch_f32);
+                        self.kernel
+                            .conv_backward_dx(wt_deq, patch_f32, bwd_rows, bwd_cols, gdst);
+                    }
                 }
                 TStep::Dense {
                     float_idx,
@@ -563,15 +592,20 @@ impl<'m> QTrainPlan<'m> {
                         ste_mask(&mut gsrc[..out_dim], &acts[i + 1][..out_dim], qmax_code);
                     }
                     dequantize(&x_codes[..in_dim], in_scale, &mut deq[..in_dim]);
-                    let (wg, bg) = buf.layers[float_idx].split_at_mut(1);
-                    self.kernel.dense_backward(
-                        w_deq,
-                        &gsrc[..out_dim],
-                        &deq[..in_dim],
-                        gdst,
-                        Some(wg[0].data_mut()),
-                        Some(bg[0].data_mut()),
-                    );
+                    let (g, xin) = (&gsrc[..out_dim], &deq[..in_dim]);
+                    let (dw, db) = match record.as_deref_mut() {
+                        Some(record) => {
+                            self.factors.record(record, float_idx, g, xin);
+                            (None, None)
+                        }
+                        None => {
+                            let (wg, bg) = buf.layers[float_idx].split_at_mut(1);
+                            (Some(wg[0].data_mut()), Some(bg[0].data_mut()))
+                        }
+                    };
+                    if want_dx {
+                        self.kernel.dense_backward(w_deq, g, xin, gdst, dw, db);
+                    }
                 }
                 TStep::AvgPool {
                     k,
@@ -602,26 +636,29 @@ impl<'m> QTrainPlan<'m> {
     ) -> (f32, GradBuffer) {
         self.run_forward(s, x, kernel);
         let mut buf = self.zero_grads();
-        let loss = self.run_backward(s, target, &mut buf);
+        let loss = self.run_backward(s, target, &mut buf, None);
         (loss, buf)
     }
 
     /// Summed loss and STE parameter gradients over a whole minibatch —
     /// the fine-tuning hot path.
     ///
-    /// The batch is split into contiguous image chunks over threads
-    /// ([`axutil::parallel::par_map_chunks`]) with one
-    /// [`QTrainPlan::scratch`] per chunk, and per-image gradients are
-    /// reduced in a fixed left-to-right image order (single-chunk runs
-    /// fold inline — the serial fold *is* the reference order), exactly
-    /// like the PR 4 float engine: the sum is **bit-identical** for any
-    /// `AXDNN_THREADS` setting.
+    /// Runs as the two-phase fold of
+    /// [`param_grads_batch`](axnn::exec::param_grads_batch), exactly like
+    /// [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch):
+    /// image chunks over threads with one [`QTrainPlan::scratch`] each
+    /// keep, per image, every dense layer's masked upstream gradient and
+    /// dequantized input (plus, outside the first chunk, the conv layers'
+    /// gradients), then the dense factors fold over weight rows in
+    /// parallel and the losses and conv gradients fold in image order. The
+    /// sum is **bit-identical** to the per-image
+    /// [`QTrainPlan::loss_and_param_grads`] fold for any thread count.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch — a zero "gradient" would silently stall
     /// fine-tuning — and when any image does not match the planned shape
-    /// (mixed-shape batches die like the PR 4 entry points).
+    /// (mixed-shape batches die like the float engine's entry points).
     pub fn loss_and_param_grads_batch<'a, K, F, G>(
         &self,
         n: usize,
@@ -644,35 +681,16 @@ impl<'m> QTrainPlan<'m> {
                 "batch image {i} does not match the planned shape"
             );
         }
-        if parallel::num_threads().min(n) <= 1 {
-            // One chunk: fold as we go — per-image gradients materialize
-            // into their own buffer and accumulate in image order, the
-            // reference reduction (summing positions of later images
-            // straight into the running buffer would reorder the float
-            // accumulation).
-            let mut s = self.scratch();
-            let mut loss = 0.0f32;
-            let mut grads = self.zero_grads();
-            for i in 0..n {
-                let (l, g) = self.loss_and_param_grads(&mut s, image(i), label(i), kernel);
-                loss += l;
-                grads.accumulate(&g);
-            }
-            return (loss, grads);
-        }
-        let per_image: Vec<(f32, GradBuffer)> = parallel::par_map_chunks(n, |range| {
-            let mut s = self.scratch();
-            range
-                .map(|i| self.loss_and_param_grads(&mut s, image(i), label(i), kernel))
-                .collect()
-        });
-        let mut loss = 0.0f32;
-        let mut grads = self.zero_grads();
-        for (l, g) in &per_image {
-            loss += l;
-            grads.accumulate(g);
-        }
-        (loss, grads)
+        fexec::param_grads_batch(
+            n,
+            &self.factors,
+            self.zero_grads(),
+            || self.scratch(),
+            |s, i, conv, record| {
+                self.run_forward(s, image(i), kernel);
+                self.run_backward(s, label(i), conv, Some(record))
+            },
+        )
     }
 }
 

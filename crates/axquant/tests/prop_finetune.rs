@@ -21,8 +21,9 @@
 use axdata::Dataset;
 use axmul::{ExactMul, Registry};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
-use axnn::model::Sequential;
+use axnn::model::{GradBuffer, Sequential};
 use axnn::train::{fit, TrainConfig};
+use axnn::zoo;
 use axquant::qtrain::{finetune, FinetuneConfig, QTrainPlan};
 use axquant::{Placement, QuantModel};
 use axtensor::Tensor;
@@ -124,6 +125,76 @@ proptest! {
                 loss == want_loss && grads == want,
                 "batched STE gradient diverges from the per-image fold \
                  (arch {arch}, seed {seed}, n {n}, threads {threads})"
+            );
+        }
+    }
+}
+
+/// The bit patterns of every gradient, so `-0.0` and `+0.0` differ.
+fn grad_bits(g: &GradBuffer) -> Vec<u32> {
+    g.layers
+        .iter()
+        .flatten()
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Edge cases of the factored fold in the STE engine, bit for bit
+/// against the per-image fold at threads {1, 2, 3, 7}: one image, fewer
+/// images than threads, and batch sizes the thread counts do not divide,
+/// on the quantized FFNN shape (784-300-100-10) with every third
+/// first-layer unit ReLU-dead, so the clipped STE zeroes whole rows.
+#[test]
+fn factored_ste_fold_edge_cases_match_per_image_fold() {
+    let mut model = zoo::ffnn(&mut Rng::seed_from_u64(71));
+    let mut params = model.layers_mut()[1].params_mut();
+    for (o, b) in params[1].data_mut().iter_mut().enumerate() {
+        if o % 3 == 0 {
+            *b = -100.0;
+        }
+    }
+    let mut rng = Rng::seed_from_u64(72);
+    let imgs: Vec<Tensor> = (0..9)
+        .map(|_| {
+            let mut t = Tensor::zeros(&[1, 28, 28]);
+            rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
+            t
+        })
+        .collect();
+    let labels: Vec<usize> = (0..9).map(|i| (i * 7) % 10).collect();
+    let qm = QuantModel::from_float(&model, &imgs[..4], Placement::All).unwrap();
+    let plan = QTrainPlan::compile(&qm, &model, &[1, 28, 28]);
+    let lut = Registry::standard().build_lut("17KS").unwrap();
+    for n in [1, 2, 5, 9] {
+        let (want_loss, want) = exec::with(exec::current().with_threads(1), || {
+            let mut s = plan.scratch();
+            let mut want_loss = 0.0f32;
+            let mut want = plan.zero_grads();
+            for i in 0..n {
+                let (l, g) = plan.loss_and_param_grads(&mut s, &imgs[i], labels[i], &lut);
+                want_loss += l;
+                want.accumulate(&g);
+            }
+            (want_loss, want)
+        });
+        let dead_rows = want.layers[1][0]
+            .data()
+            .chunks(784)
+            .filter(|row| row.iter().all(|&v| v == 0.0))
+            .count();
+        assert!(dead_rows >= 100, "only {dead_rows} zero rows at n {n}");
+        for threads in [1, 2, 3, 7] {
+            let (loss, grads) = exec::with(exec::current().with_threads(threads), || {
+                plan.loss_and_param_grads_batch(n, |i| &imgs[i], |i| labels[i], &lut)
+            });
+            assert_eq!(
+                loss.to_bits(),
+                want_loss.to_bits(),
+                "loss diverges (n {n}, threads {threads})"
+            );
+            assert!(
+                grad_bits(&grads) == grad_bits(&want),
+                "STE gradients diverge from the per-image fold (n {n}, threads {threads})"
             );
         }
     }

@@ -2,10 +2,18 @@
 //!
 //! The experiments are embarrassingly parallel over images (robustness
 //! evaluation) and over batch elements (gradient accumulation). These
-//! helpers split index ranges across a small thread pool created per call;
-//! for the workloads in this repository (hundreds of inferences, each
-//! hundreds of microseconds to milliseconds) per-call thread spawn cost is
-//! negligible and keeping no global state preserves determinism.
+//! helpers split index ranges across scoped threads spawned per call;
+//! keeping no global state preserves determinism.
+//!
+//! The cost of a call is not negligible. Every call spawns and joins its
+//! workers, which a batch of a few milliseconds pays each time, and what
+//! the workers allocate per item adds memory traffic and page faults.
+//! Batched training used to keep a full per-image gradient buffer (about
+//! 1 MB per FFNN image) for every image until its in-order fold, and the
+//! page faults of that memory made two threads slower than one. The
+//! factored fold of `axnn::exec::param_grads_batch` keeps only each dense
+//! layer's rank-1 factors per image instead. Callers should keep per-item
+//! results small.
 //!
 //! The worker count is [`num_threads`], taken from the active
 //! [`exec::Context`], and every worker runs under the caller's context, so

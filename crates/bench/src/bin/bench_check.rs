@@ -8,6 +8,9 @@
 //! * no `speedup` fell below the documented floor (default `0.8`, i.e. a
 //!   20% jitter allowance below parity; override with
 //!   `AXDNN_BENCH_MIN_SPEEDUP`),
+//! * in `BENCH_train.json` and `BENCH_finetune.json`, a run at more
+//!   than one thread is no slower than at one thread beyond the
+//!   documented `1.5`x jitter allowance,
 //! * fine-tuning still improves clean quantized accuracy over
 //!   post-training quantization (exact — the pipeline is deterministic),
 //! * the fault-campaign report (`BENCH_faults.json`) recorded a

@@ -106,17 +106,35 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Median of `reps` wall-clock timings of `f`, in milliseconds.
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+/// Wall-clock time of one call of `f`, in milliseconds.
+fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of `times`.
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.total_cmp(b));
     times[times.len() / 2]
+}
+
+/// Median of `reps` wall-clock timings of `f`, in milliseconds.
+fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    median((0..reps).map(|_| time_ms(&mut f)).collect())
+}
+
+/// Medians of `reps` wall-clock timings of `f` in milliseconds, once
+/// under the current execution context and once under `parallel`. The
+/// two alternate rep by rep, so host noise lands on both columns alike:
+/// `bench_check` compares them.
+fn median_ms_serial_parallel(reps: usize, parallel: Context, mut f: impl FnMut()) -> (f64, f64) {
+    let (mut serial, mut par) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        serial.push(time_ms(&mut f));
+        par.push(exec::with(parallel, || time_ms(&mut f)));
+    }
+    (median(serial), median(par))
 }
 
 struct Row {
@@ -453,11 +471,9 @@ fn train_report(
         let scalar_ms = median_ms(reps, || {
             std::hint::black_box(scalar_step(model));
         });
-        let batched = || {
+        let (batched_ms, batched_par_ms) = median_ms_serial_parallel(reps, caller, || {
             std::hint::black_box(model.loss_and_param_grads_batch(images, labels));
-        };
-        let batched_ms = median_ms(reps, batched);
-        let batched_par_ms = exec::with(caller, || median_ms(reps, batched));
+        });
 
         let speedup = scalar_ms / batched_ms;
         json.push_str(&format!(
@@ -554,11 +570,9 @@ fn finetune_report(reps: usize, caller: Context) {
     let scalar_ms = median_ms(reps, || {
         std::hint::black_box(scalar_step());
     });
-    let batched = || {
+    let (batched_ms, batched_par_ms) = median_ms_serial_parallel(reps, caller, || {
         std::hint::black_box(batched_step());
-    };
-    let batched_ms = median_ms(reps, batched);
-    let batched_par_ms = exec::with(caller, || median_ms(reps, batched));
+    });
     let speedup = scalar_ms / batched_ms;
 
     // The retraining defense itself: fine-tune through the approximate
